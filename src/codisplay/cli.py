@@ -22,17 +22,31 @@ def _write_frac(frac: FractionalSolution, path) -> None:
 
 def _load_frac(path) -> FractionalSolution:
     d = core.load_json(path)
+    if isinstance(d, dict) and "x" not in d:
+        raise core.StructuralError(f"{path}: missing key 'x'")
     x = d["x"] if isinstance(d, dict) else d
     return FractionalSolution(x=np.asarray(x, dtype=float))
 
 
 def _load_sequence(path) -> list[rounding.FocalParams]:
     seq = core.load_json(path)
-    return [rounding.FocalParams(int(f["c"]), int(f["s"]), float(f["alpha"])) for f in seq]
+    try:
+        return [rounding.FocalParams(int(f["c"]), int(f["s"]), float(f["alpha"]))
+                for f in seq]
+    except (KeyError, TypeError) as exc:
+        raise core.StructuralError(f"{path}: bad focal-parameter entry ({exc})") from None
 
 
 def _work_instance(inst: Instance) -> Instance:
     return inst if inst.lam == 0.5 else core.scale_preferences(inst)
+
+
+def _solve_st(work: Instance) -> FractionalSolution:
+    """Per-slot factors of the teleportation relaxation."""
+    res = lp.solve_lp(lp.build_st_lp(work))
+    if res.status != "optimal":
+        raise DomainError(f"relaxation status: {res.status}")
+    return lp.frac_from_full_result(res, work)
 
 
 def _fractional_for(inst: Instance, args, st: bool) -> FractionalSolution:
@@ -42,23 +56,26 @@ def _fractional_for(inst: Instance, args, st: bool) -> FractionalSolution:
         return frac
     work = _work_instance(inst)
     if st:
-        res = lp.solve_lp(lp.build_st_lp(work))
-        if res.status != "optimal":
-            raise DomainError(f"relaxation status: {res.status}")
-        return lp.frac_from_full_result(res, work)
+        return _solve_st(work)
     frac, _ = lp.solve_fractional(work)
     return frac
 
 
-def _run_algo(inst: Instance, algo: str, args) -> tuple[np.ndarray, dict]:
-    """Returns (assignment, info).  The assignment may be infeasible for indep."""
+def _run_algo(inst: Instance, algo: str, args,
+              frac: FractionalSolution | None = None) -> tuple[np.ndarray, dict]:
+    """Returns (assignment, info).  The assignment may be infeasible for indep.
+
+    ``frac`` is the relaxation's factors when the caller already holds them;
+    otherwise the LP-based algorithms load or solve them here.
+    """
     info: dict = {"algo": algo}
     seed = getattr(args, "seed", 0)
     sampler = getattr(args, "sampler", "uniform")
     r = getattr(args, "r", 0.25)
     if algo in ("avg", "avgd", "indep", "avg-st", "avgd-st"):
         work = _work_instance(inst)
-        frac = _fractional_for(inst, args, st=algo.endswith("-st"))
+        if frac is None:
+            frac = _fractional_for(inst, args, st=algo.endswith("-st"))
         if algo == "avg":
             repeats = getattr(args, "repeats", 1) or 1
             if repeats > 1:
@@ -204,6 +221,8 @@ def cmd_replay(args) -> int:
 def cmd_eval(args) -> int:
     inst = core.instance_from_dict(core.load_json(args.infile))
     sol = core.load_json(args.sol)
+    if not isinstance(sol, dict) or "assign" not in sol:
+        raise core.StructuralError(f"{args.sol}: missing key 'assign'")
     assign = np.asarray(sol["assign"], dtype=np.int64)
     holder = RawAssignment(assign=assign)
     violations = core.validate(holder, inst)
@@ -233,12 +252,12 @@ _COMPARE_METRIC_FIELDS = [
 
 
 def _compare_cell(payload):
-    inst_dict, algo, seed, groups = payload
+    inst_dict, algo, seed, groups, frac = payload
     inst = core.instance_from_dict(inst_dict)
     ns = argparse.Namespace(seed=seed, sampler="uniform", r=0.25, repeats=1,
                             partition=None, frac=None, groups=groups)
     t0 = time.perf_counter()
-    assign, _ = _run_algo(inst, algo, ns)
+    assign, _ = _run_algo(inst, algo, ns, frac)
     runtime_ms = (time.perf_counter() - t0) * 1000.0
     canonical, unit, feasible, _ = _objectives(inst, assign)
     if feasible:
@@ -254,11 +273,15 @@ def cmd_compare(args) -> int:
     algos = [a for a in args.algos.split(",") if a]
     seeds = _parse_seeds(args.seeds)
     work = _work_instance(inst)
+    # each relaxation is solved once here and its factors travel with the
+    # cells, so a cell's runtime_ms times the rounding alone
     frac, lp_bound = lp.solve_fractional(work)
+    st_frac = _solve_st(work) if any(a.endswith("-st") for a in algos) else None
     header = (["algo", "seed", "objective_canonical", "objective_unit_sum", "runtime_ms"]
               + _COMPARE_METRIC_FIELDS
               + ["lp_bound_unit_sum", "lp_bound_canonical"])
-    cells = [(core.instance_to_dict(inst), algo, seed, args.groups)
+    cells = [(core.instance_to_dict(inst), algo, seed, args.groups,
+              st_frac if algo.endswith("-st") else frac)
              for algo in algos for seed in seeds]
     if args.jobs > 1 and cells:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -389,7 +412,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, core.StructuralError, FileNotFoundError) as exc:
+    except (DomainError, core.StructuralError, FileNotFoundError,
+            json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

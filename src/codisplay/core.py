@@ -89,6 +89,8 @@ class Instance:
         if not (0.0 <= self.lam <= 1.0):
             raise DomainError(f"lambda must lie in [0, 1], got {self.lam}")
         pref = _frozen_array(self.pref, float, (self.n, self.m))
+        if not np.isfinite(pref).all():
+            raise DomainError("preference utilities must be finite")
         if (pref < 0).any():
             raise DomainError("preference utilities must be nonnegative")
         object.__setattr__(self, "pref", pref)
@@ -104,6 +106,8 @@ class Instance:
             seen.add(key)
             tau_uv = _frozen_array(e.tau_uv, float, (self.m,))
             tau_vu = _frozen_array(e.tau_vu, float, (self.m,))
+            if not (np.isfinite(tau_uv).all() and np.isfinite(tau_vu).all()):
+                raise DomainError("social utilities must be finite")
             if (tau_uv < 0).any() or (tau_vu < 0).any():
                 raise DomainError("social utilities must be nonnegative")
             frozen_edges.append(Edge(e.u, e.v, tau_uv, tau_vu))
@@ -480,20 +484,22 @@ def instance_to_dict(inst: Instance) -> dict:
 
 
 def instance_from_dict(d: dict) -> Instance:
-    st = None
-    if d.get("st") is not None:
-        st = StParams(d_tel=float(d["st"]["d_tel"]), M=int(d["st"]["M"]))
-    edges = [
-        Edge(int(e["u"]), int(e["v"]), np.asarray(e["tau_uv"], float), np.asarray(e["tau_vu"], float))
-        for e in d.get("edges", [])
-    ]
-    return Instance(
-        n=int(d["n"]), m=int(d["m"]), k=int(d["k"]),
-        pref=np.asarray(d["pref"], float),
-        edges=tuple(edges),
-        lam=float(d["lambda"]),
-        st=st,
-    )
+    if not isinstance(d, dict):
+        raise StructuralError("an instance must be a JSON object")
+    try:
+        st = None
+        if d.get("st") is not None:
+            st = StParams(d_tel=float(d["st"]["d_tel"]), M=int(d["st"]["M"]))
+        edges = [
+            Edge(int(e["u"]), int(e["v"]), np.asarray(e["tau_uv"], float), np.asarray(e["tau_vu"], float))
+            for e in d.get("edges", [])
+        ]
+        sizes = int(d["n"]), int(d["m"]), int(d["k"])
+        pref, lam = np.asarray(d["pref"], float), float(d["lambda"])
+    except (KeyError, TypeError) as exc:
+        raise StructuralError(f"instance is missing or has a malformed field ({exc})") from None
+    n, m, k = sizes
+    return Instance(n=n, m=m, k=k, pref=pref, edges=tuple(edges), lam=lam, st=st)
 
 
 def dump_json(obj: dict, path) -> None:
@@ -512,4 +518,6 @@ def config_to_dict(config: Configuration | RawAssignment) -> dict:
 
 
 def config_from_dict(d: dict) -> Configuration:
+    if not isinstance(d, dict) or "assign" not in d:
+        raise StructuralError("a configuration needs the key 'assign'")
     return Configuration(assign=np.asarray(d["assign"], np.int64))

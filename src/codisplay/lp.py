@@ -1,4 +1,4 @@
-"""Linear-program models and a self-contained dense simplex solver.
+"""Linear-program models and the relaxation solver.
 
 Two relaxations of the assignment program are provided: the full per-slot
 model and a compact slot-free model whose optimum provably coincides with the
@@ -6,13 +6,18 @@ full one.  Both use the unit-sum objective (scaled preference on the
 item-per-user variables, combined directed social weight on the edge
 variables), so instances with lambda != 1/2 must be passed through
 ``core.scale_preferences`` first.
+
+``solve_lp`` hands a model to HiGHS's dual simplex through scipy when scipy
+can be imported, and to a self-contained dense simplex otherwise; the dense
+solver is also the reference the tests compare HiGHS against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import cached_property
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -20,6 +25,7 @@ from .core import DomainError, Instance
 
 FEAS_TOL = 1e-7
 PIVOT_TOL = 1e-9
+CERT_TOL = 1e-6  # duality gap, dual sign and stationarity tolerance (relative)
 
 
 @dataclass
@@ -71,8 +77,12 @@ class LpResult:
     status: str  # optimal | infeasible | unbounded | iteration_limit
     names: tuple[str, ...] = ()
 
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {name: j for j, name in enumerate(self.names)}
+
     def value(self, name: str) -> float:
-        return float(self.x[self.names.index(name)])
+        return float(self.x[self._index[name]])
 
 
 class _Tableau:
@@ -183,8 +193,107 @@ class _Tableau:
                     bland = True
 
 
+# scipy.optimize.linprog status codes; any other code is a solver failure
+_HIGHS_STATUS = {0: "optimal", 1: "iteration_limit", 2: "infeasible", 3: "unbounded"}
+
+
+class _HighsForm(NamedTuple):
+    """A model as ``min c.x  s.t.  a_ub x <= b_ub,  a_eq x = b_eq,  0 <= x <= upper``."""
+
+    c: np.ndarray
+    a_ub: object  # scipy.sparse CSR, possibly with no rows
+    b_ub: np.ndarray
+    a_eq: object
+    b_eq: np.ndarray
+    upper: np.ndarray  # inf where the model has no bound
+
+
 def solve_lp(model: LpModel, max_iter: int = 1_000_000) -> LpResult:
-    """Solve a relaxed model with the built-in simplex.
+    """Solve a relaxed model.
+
+    Uses HiGHS's dual simplex when scipy can be imported and the built-in
+    dense simplex otherwise.  The returned status is one of optimal /
+    infeasible / unbounded / iteration_limit; every optimum has its primal
+    feasibility residual verified below 1e-7, and a HiGHS optimum also its
+    dual certificate (``_check_certificate``).  A HiGHS failure of any other
+    kind raises ArithmeticError.
+    """
+    try:
+        from scipy.optimize import linprog
+    except ImportError:
+        return _solve_dense(model, max_iter)
+    names = tuple(model.var_names)
+    form = _highs_form(model)
+    res = linprog(form.c, A_ub=form.a_ub, b_ub=form.b_ub, A_eq=form.a_eq, b_eq=form.b_eq,
+                  bounds=np.column_stack([np.zeros(form.c.size), form.upper]),
+                  method="highs-ds", options={"maxiter": max_iter})
+    status = _HIGHS_STATUS.get(res.status)
+    if status is None:
+        raise ArithmeticError(f"HiGHS failed: {res.message}")
+    if status != "optimal":
+        return LpResult(0.0, np.zeros(model.num_vars), status, names)
+    x = np.asarray(res.x, dtype=float)
+    _check_residuals(model, x)
+    _check_certificate(form, x, res.ineqlin.marginals, res.eqlin.marginals,
+                       res.upper.marginals, res.lower.marginals)
+    return LpResult(float(np.asarray(model.obj, dtype=float) @ x), x, "optimal", names)
+
+
+def _highs_form(model: LpModel) -> _HighsForm:
+    """Builds the constraint matrix once as CSR, negates ``>=`` rows and
+    splits it into its inequality and equality blocks."""
+    from scipy import sparse
+
+    n = model.num_vars
+    senses = np.array([r[2] for r in model.rows], dtype="<U2")
+    flip = np.where(senses == ">=", -1.0, 1.0)
+    rhs = np.array([r[3] for r in model.rows], dtype=float) * flip
+    if model.rows:
+        lengths = np.array([r[0].size for r in model.rows])
+        row_of = np.repeat(np.arange(len(model.rows)), lengths)
+        cols = np.concatenate([r[0] for r in model.rows])
+        vals = np.concatenate([r[1] for r in model.rows]) * flip[row_of]
+    else:
+        row_of = cols = np.zeros(0, dtype=np.int64)
+        vals = np.zeros(0)
+    a = sparse.csr_array((vals, (row_of, cols)), shape=(len(model.rows), n))
+    eq = np.flatnonzero(senses == "=")
+    ub = np.flatnonzero(senses != "=")
+    c = np.asarray(model.obj, dtype=float)
+    upper = np.array([np.inf if u is None else u for u in model.upper], dtype=float)
+    return _HighsForm(-c if model.maximize else c, a[ub], rhs[ub], a[eq], rhs[eq], upper)
+
+
+def _check_certificate(form: _HighsForm, x: np.ndarray, y_ub: np.ndarray,
+                       y_eq: np.ndarray, y_up: np.ndarray, y_low: np.ndarray) -> None:
+    """Verifies the dual certificate of a minimization optimum of ``form``.
+
+    The duals are HiGHS's marginals (the sensitivity of the optimum to each
+    right-hand side or bound): ``y_ub <= 0`` and ``y_up <= 0``, ``y_low >= 0``,
+    and the reduced costs ``c - a_ub' y_ub - a_eq' y_eq`` must equal the bound
+    duals ``y_up + y_low``.  With those, a zero duality gap
+    ``c.x - (b_ub.y_ub + b_eq.y_eq + upper.y_up)`` proves ``x`` optimal.
+    """
+    c = form.c
+    tol = CERT_TOL * max(1.0, float(np.abs(c).max(initial=0.0)))
+    finite = np.isfinite(form.upper)
+    sign = max(float(y_ub.max(initial=0.0)), float(y_up.max(initial=0.0)),
+               float(-y_low.min(initial=0.0)), float(np.abs(y_up[~finite]).max(initial=0.0)))
+    if sign > tol:
+        raise ArithmeticError(f"HiGHS returned duals of the wrong sign (by {sign:.3g})")
+    reduced = c - form.a_ub.T @ y_ub - form.a_eq.T @ y_eq - y_up - y_low
+    stationarity = float(np.abs(reduced).max(initial=0.0))
+    if stationarity > tol:
+        raise ArithmeticError(f"HiGHS reduced costs are not stationary (by {stationarity:.3g})")
+    primal = float(c @ x)
+    dual = float(form.b_ub @ y_ub + form.b_eq @ y_eq + form.upper[finite] @ y_up[finite])
+    gap = abs(primal - dual)
+    if gap > CERT_TOL * max(1.0, abs(primal)):
+        raise ArithmeticError(f"HiGHS optimum has duality gap {gap:.3g}")
+
+
+def _solve_dense(model: LpModel, max_iter: int) -> LpResult:
+    """Solve a relaxed model with the built-in dense two-phase simplex.
 
     Finite upper bounds are handled as explicit rows.  The returned status is
     one of optimal / infeasible / unbounded / iteration_limit; on optimal the
@@ -429,14 +538,21 @@ class FractionalSolution:
             raise DomainError("per-(user, item) factors must sum to at most 1")
 
 
+def _leading_block(result: LpResult, shape: tuple[int, ...], last_name: str) -> np.ndarray:
+    """The first variables of an optimum, reshaped: every builder registers its
+    ``xu`` (compact) or ``x`` (per-slot) block first, in row-major order."""
+    size = math.prod(shape)
+    if result.names[size - 1 : size] != (last_name,):
+        raise DomainError(f"result does not begin with a block ending in {last_name}")
+    return result.x[:size].reshape(shape)
+
+
 def expand_solution(result: LpResult, inst: Instance) -> FractionalSolution:
     """Spread a compact optimum uniformly over slots: x[u][c][s] = xu/k."""
     if result.status != "optimal":
         raise DomainError(f"cannot expand a result with status {result.status!r}")
-    x = np.empty((inst.n, inst.m, inst.k))
-    for u in range(inst.n):
-        for c in range(inst.m):
-            x[u, c, :] = result.value(_xuname(u, c)) / inst.k
+    xu = _leading_block(result, (inst.n, inst.m), _xuname(inst.n - 1, inst.m - 1))
+    x = np.repeat(xu[:, :, None] / inst.k, inst.k, axis=2)
     frac = FractionalSolution(np.clip(x, 0.0, 1.0))
     frac.check()
     return frac
@@ -446,11 +562,8 @@ def frac_from_full_result(result: LpResult, inst: Instance) -> FractionalSolutio
     """Collect the per-slot variables of a full or teleportation model optimum."""
     if result.status != "optimal":
         raise DomainError(f"result status is {result.status!r}")
-    x = np.empty((inst.n, inst.m, inst.k))
-    for u in range(inst.n):
-        for c in range(inst.m):
-            for s in range(inst.k):
-                x[u, c, s] = result.value(_xname(u, c, s))
+    x = _leading_block(result, (inst.n, inst.m, inst.k),
+                       _xname(inst.n - 1, inst.m - 1, inst.k - 1))
     return FractionalSolution(np.clip(x, 0.0, 1.0))
 
 

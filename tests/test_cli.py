@@ -2,6 +2,7 @@
 
 import csv
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -195,7 +196,7 @@ class TestCompare:
     def test_parallel_jobs_match_sequential(self, fixture_files, tmp_path):
         seq_out = tmp_path / "seq.csv"
         par_out = tmp_path / "par.csv"
-        argv = ["compare", "--in", fixture_files["inst"], "--algos", "per,group",
+        argv = ["compare", "--in", fixture_files["inst"], "--algos", "per,group,avg,avgd",
                 "--seeds", "0,1"]
         assert run(argv + ["--out", str(seq_out)]) == 0
         assert run(argv + ["--jobs", "2", "--out", str(par_out)]) == 0
@@ -206,6 +207,90 @@ class TestCompare:
             return [{k: v for k, v in row.items() if k != "runtime_ms"} for row in rows]
 
         assert drop_runtime(seq_out) == drop_runtime(par_out)
+
+    def test_each_relaxation_solved_once(self, fixture_files, tmp_path, monkeypatch):
+        tele = tmp_path / "tele.json"
+        core.dump_json(core.instance_to_dict(
+            cd.gen_random(4, 5, 2, edge_prob=0.7, seed=3, d_tel=0.5, m_cap=2)), tele)
+        calls = []
+        real = cd.lp.solve_lp
+        monkeypatch.setattr(cd.lp, "solve_lp",
+                            lambda model, *a, **kw: calls.append(model.meta["kind"])
+                            or real(model, *a, **kw))
+        assert run(["compare", "--in", fixture_files["inst"], "--algos", "avg,avgd,indep,per",
+                    "--seeds", "0..2", "--out", str(tmp_path / "p.csv")]) == 0
+        assert calls == ["simp"]
+        calls.clear()
+        assert run(["compare", "--in", str(tele), "--algos", "avg-st,avgd-st,avg,per",
+                    "--seeds", "0,1", "--out", str(tmp_path / "t.csv")]) == 0
+        assert calls == ["simp", "st"]
+
+
+class TestNumpyOnlyPath:
+    def test_solve_and_compare_without_scipy(self, fixture_files, tmp_path, monkeypatch):
+        # with scipy unimportable every relaxation goes to the dense simplex
+        monkeypatch.setitem(sys.modules, "scipy.optimize", None)
+        dense_calls = []
+        real = cd.lp._solve_dense
+        monkeypatch.setattr(cd.lp, "_solve_dense",
+                            lambda model, max_iter: dense_calls.append(1) or real(model, max_iter))
+        frac, bound = cd.solve_fractional(make_example())
+        frac.check()
+        assert bound == pytest.approx(10.45, abs=1e-6)
+        out = tmp_path / "table.csv"
+        assert run(["compare", "--in", fixture_files["inst"], "--algos", "avgd,per",
+                    "--seeds", "0", "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            got = {row["algo"]: float(row["objective_unit_sum"]) for row in csv.DictReader(fh)}
+        assert got["avgd"] == pytest.approx(EXPECTED_UNIT["avgd"], abs=1e-6)
+        assert len(dense_calls) == 2
+
+
+class TestBadInput:
+    """Malformed files end in exit 1 and a single ``error:`` line."""
+
+    @staticmethod
+    def assert_clean_error(code, capsys):
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_missing_instance_keys(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        core.dump_json({"n": 2}, bad)
+        self.assert_clean_error(run(["solve", "--algo", "per", "--in", str(bad)]), capsys)
+
+    def test_malformed_json(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        self.assert_clean_error(run(["compare", "--in", str(bad), "--algos", "per"]), capsys)
+
+    def test_non_finite_utility(self, tmp_path, capsys):
+        d = core.instance_to_dict(make_example())
+        d["pref"][0][0] = float("nan")
+        bad = tmp_path / "nan.json"
+        core.dump_json(d, bad)  # json writes NaN and reads it back
+        self.assert_clean_error(run(["frac", "--in", str(bad), "--out",
+                                     str(tmp_path / "f.json")]), capsys)
+
+    def test_frac_without_x(self, fixture_files, tmp_path, capsys):
+        bad = tmp_path / "frac.json"
+        core.dump_json({"y": make_frac().x.tolist()}, bad)
+        self.assert_clean_error(run(["solve", "--algo", "avgd", "--in", fixture_files["inst"],
+                                     "--frac", str(bad)]), capsys)
+
+    def test_solution_without_assign(self, fixture_files, tmp_path, capsys):
+        bad = tmp_path / "sol.json"
+        core.dump_json({"assignment": [[0, 1, 2]] * 4}, bad)
+        self.assert_clean_error(run(["eval", "--in", fixture_files["inst"],
+                                     "--sol", str(bad)]), capsys)
+
+    def test_sequence_entry_without_alpha(self, fixture_files, tmp_path, capsys):
+        bad = tmp_path / "seq.json"
+        core.dump_json([{"c": 0, "s": 0}], bad)
+        self.assert_clean_error(run(["replay", "--in", fixture_files["inst"],
+                                     "--frac", fixture_files["frac"], "--seq", str(bad),
+                                     "--out", str(tmp_path / "x.json")]), capsys)
 
 
 class TestExport:

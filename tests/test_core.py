@@ -39,6 +39,18 @@ class TestInstanceInvariants:
         with pytest.raises(DomainError):
             cd.Instance(n=1, m=1, k=1, pref=np.array([[-1.0]]), edges=(), lam=0.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_pref_rejected(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            cd.Instance(n=1, m=2, k=1, pref=np.array([[0.5, bad]]), edges=(), lam=0.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_social_rejected(self, bad):
+        for tau_uv, tau_vu in (([0.1, bad], [0.1, 0.2]), ([0.1, 0.2], [bad, 0.2])):
+            edge = cd.Edge(0, 1, np.array(tau_uv), np.array(tau_vu))
+            with pytest.raises(DomainError, match="finite"):
+                cd.Instance(n=2, m=2, k=1, pref=np.ones((2, 2)), edges=(edge,), lam=0.5)
+
     def test_self_loop_rejected(self):
         e = cd.Edge(0, 0, np.zeros(1), np.zeros(1))
         with pytest.raises(StructuralError):
@@ -330,3 +342,13 @@ class TestJsonRoundTrip:
         cd.core.dump_json(cd.core.config_to_dict(cfg), path)
         back = cd.core.config_from_dict(cd.core.load_json(path))
         assert np.array_equal(back.assign, cfg.assign)
+
+    @pytest.mark.parametrize("d", [{"n": 2}, [1, 2], {**cd.core.instance_to_dict(make_example()),
+                                                       "edges": [{"u": 0, "v": 1}]}])
+    def test_instance_missing_keys_structural(self, d):
+        with pytest.raises(StructuralError):
+            cd.core.instance_from_dict(d)
+
+    def test_config_missing_assign_structural(self):
+        with pytest.raises(StructuralError):
+            cd.core.config_from_dict({"assignment": [[0]]})

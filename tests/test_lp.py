@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.optimize import linprog
 
 import codisplay as cd
@@ -145,6 +146,113 @@ class TestSolver:
         again = lpm.solve_lp(mdl)
         assert again.status == "optimal"
         assert again.objective == pytest.approx(first.objective, abs=1e-6)
+
+
+def toy_models(example):
+    """(expected status, model, max_iter) of models that have no optimum."""
+    infeasible = lpm.LpModel()
+    infeasible.add_var("x", obj=1.0)
+    infeasible.add_row([0], [1.0], "<=", 1.0)
+    infeasible.add_row([0], [1.0], ">=", 2.0)
+    unbounded = lpm.LpModel()
+    unbounded.add_var("x", obj=1.0)
+    unbounded.add_row([0], [1.0], ">=", 1.0)
+    return [("infeasible", infeasible, 1_000_000), ("unbounded", unbounded, 1_000_000),
+            ("iteration_limit", lpm.build_full_lp(example), 3)]
+
+
+def factors(res, inst):
+    if res.names[0].startswith("xu_"):
+        return lpm.expand_solution(res, inst)
+    return lpm.frac_from_full_result(res, inst)
+
+
+class TestBackends:
+    """HiGHS (the default when scipy imports) against the dense reference."""
+
+    def check_pair(self, model, inst):
+        highs = lpm.solve_lp(model)
+        dense = lpm._solve_dense(model, 1_000_000)
+        assert highs.status == dense.status == "optimal"
+        assert highs.objective == pytest.approx(dense.objective, abs=1e-6)
+        for res in (highs, dense):
+            factors(res, inst).check()
+
+    def test_compact_and_full_models_agree(self):
+        for inst in random_suite(8, base_seed=1300):
+            for build in (lpm.build_simplified_lp, lpm.build_full_lp):
+                self.check_pair(build(inst), inst)
+
+    def test_st_models_agree(self):
+        for seed in range(4):
+            inst = cd.gen_random(4, 5, 2, edge_prob=0.7, seed=40 + seed, d_tel=0.4, m_cap=2)
+            self.check_pair(lpm.build_st_lp(inst), inst)
+
+    def test_non_optimal_statuses_agree(self, example):
+        for expected, model, max_iter in toy_models(example):
+            assert lpm.solve_lp(model, max_iter=max_iter).status == expected
+            assert lpm._solve_dense(model, max_iter).status == expected
+
+    def test_block_reads_match_name_lookup(self, example):
+        n, m, k = example.n, example.m, example.k
+        res = lpm.solve_lp(lpm.build_simplified_lp(example))
+        want = [[[res.value(f"xu_{u}_{c}") / k] * k for c in range(m)] for u in range(n)]
+        assert np.array_equal(lpm.expand_solution(res, example).x,
+                              cd.FractionalSolution(np.clip(want, 0.0, 1.0)).x)
+        res = lpm.solve_lp(lpm.build_full_lp(example))
+        want = [[[res.value(f"x_{u}_{c}_{s}") for s in range(k)] for c in range(m)]
+                for u in range(n)]
+        assert np.array_equal(lpm.frac_from_full_result(res, example).x,
+                              cd.FractionalSolution(np.clip(want, 0.0, 1.0)).x)
+
+    def test_wrong_model_result_rejected(self, example):
+        res = lpm.solve_lp(lpm.build_full_lp(example))
+        with pytest.raises(DomainError):
+            lpm.expand_solution(res, example)
+
+
+class TestCertificate:
+    """Tampered HiGHS results must fail the dual certificate check, and a
+    status outside the four known ones must raise."""
+
+    @staticmethod
+    def shift_bound_duals(res):
+        # stationary, right signs, but upper.y_up moves the dual objective
+        res.upper.marginals[0] -= 1.0
+        res.lower.marginals[0] += 1.0
+
+    @staticmethod
+    def flip_duals(res):
+        res.ineqlin.marginals[:] = 1.0
+
+    @staticmethod
+    def halve_duals(res):
+        for part in (res.ineqlin, res.eqlin, res.upper, res.lower):
+            part.marginals[:] *= 0.5
+
+    @staticmethod
+    def numerical_failure(res):
+        res.status, res.message = 4, "numerical difficulties"
+
+    @pytest.mark.parametrize("tamper, message", [
+        ("shift_bound_duals", "duality gap"),
+        ("flip_duals", "wrong sign"),
+        ("halve_duals", "not stationary"),
+        ("numerical_failure", "numerical difficulties"),
+    ])
+    def test_tampered_result_rejected(self, example, monkeypatch, tamper, message):
+        real = scipy.optimize.linprog
+
+        def tampered(*args, **kwargs):
+            res = real(*args, **kwargs)
+            getattr(self, tamper)(res)
+            return res
+
+        model = lpm.build_simplified_lp(example)
+        assert lpm.solve_lp(model).status == "optimal"
+        monkeypatch.setattr(scipy.optimize, "linprog", tampered)
+        with pytest.raises(ArithmeticError, match=message):
+            lpm.solve_lp(model)
 
 
 class TestTransformation:

@@ -48,7 +48,6 @@ from .rounding import (
     avgd,
     best_of,
     csf_step,
-    eligible,
 )
 from .baselines import (
     auto_partition,

@@ -25,7 +25,7 @@ def _load_frac(path) -> FractionalSolution:
     if isinstance(d, dict) and "x" not in d:
         raise core.StructuralError(f"{path}: missing key 'x'")
     x = d["x"] if isinstance(d, dict) else d
-    return FractionalSolution(x=np.asarray(x, dtype=float))
+    return FractionalSolution(x=core.array_field(x, float, f"{path}: x"))
 
 
 def _load_sequence(path) -> list[rounding.FocalParams]:
@@ -134,18 +134,14 @@ def _objectives(inst: Instance, assign: np.ndarray) -> tuple[float, float, bool,
     """(canonical, unit_sum, feasible, violation count).
 
     Teleportation instances report the discounted objective for feasible
-    assignments; infeasible (raw) assignments fall back to the plain parts.
+    assignments; infeasible (raw) assignments get the plain parts.
     """
-    holder = RawAssignment(assign=assign)
-    violations = core.validate(holder, inst)
-    if not violations and inst.st is not None:
-        cfg = Configuration(assign=assign)
-        return (core.st_objective(inst, cfg, "canonical"),
-                core.st_objective(inst, cfg, "unit_sum"), True, 0)
-    pref_sum, social = core.objective_parts(inst, assign)
-    canonical = (1 - inst.lam) * pref_sum + inst.lam * social
-    unit = pref_sum + social
-    return canonical, unit, not violations, len(violations)
+    violations = core.validate(RawAssignment(assign=assign), inst)
+    d_tel = inst.st.d_tel if inst.st is not None and not violations else 0.0
+    parts = core.objective_parts(inst, assign, d_tel)
+    return (core.objective_value(inst, *parts, "canonical"),
+            core.objective_value(inst, *parts, "unit_sum"),
+            not violations, len(violations))
 
 
 def _summary(algo: str, mode: str, canonical: float, unit: float,
@@ -223,19 +219,17 @@ def cmd_eval(args) -> int:
     sol = core.load_json(args.sol)
     if not isinstance(sol, dict) or "assign" not in sol:
         raise core.StructuralError(f"{args.sol}: missing key 'assign'")
-    assign = np.asarray(sol["assign"], dtype=np.int64)
-    holder = RawAssignment(assign=assign)
-    violations = core.validate(holder, inst)
-    if violations:
-        pref_sum, social = core.objective_parts(inst, assign)
+    assign = core.array_field(sol["assign"], np.int64, f"{args.sol}: assign")
+    canonical, unit, feasible, nviol = _objectives(inst, assign)
+    if feasible:
+        report = {"feasible": True, **core.metrics(inst, Configuration(assign=assign)).to_dict()}
+    else:
         report = {
             "feasible": False,
-            "violations": len(violations),
-            "objective_canonical": (1 - inst.lam) * pref_sum + inst.lam * social,
-            "objective_unit_sum": pref_sum + social,
+            "violations": nviol,
+            "objective_canonical": canonical,
+            "objective_unit_sum": unit,
         }
-    else:
-        report = {"feasible": True, **core.metrics(inst, Configuration(assign=assign)).to_dict()}
     text = json.dumps(report, indent=1, sort_keys=True)
     if args.out:
         with open(args.out, "w") as fh:
@@ -252,8 +246,7 @@ _COMPARE_METRIC_FIELDS = [
 
 
 def _compare_cell(payload):
-    inst_dict, algo, seed, groups, frac = payload
-    inst = core.instance_from_dict(inst_dict)
+    inst, algo, seed, groups, frac = payload
     ns = argparse.Namespace(seed=seed, sampler="uniform", r=0.25, repeats=1,
                             partition=None, frac=None, groups=groups)
     t0 = time.perf_counter()
@@ -280,7 +273,7 @@ def cmd_compare(args) -> int:
     header = (["algo", "seed", "objective_canonical", "objective_unit_sum", "runtime_ms"]
               + _COMPARE_METRIC_FIELDS
               + ["lp_bound_unit_sum", "lp_bound_canonical"])
-    cells = [(core.instance_to_dict(inst), algo, seed, args.groups,
+    cells = [(inst, algo, seed, args.groups,
               st_frac if algo.endswith("-st") else frac)
              for algo in algos for seed in seeds]
     if args.jobs > 1 and cells:

@@ -32,10 +32,10 @@ class StructuralError(ValueError):
 
 
 def _frozen_array(a, dtype, shape=None) -> np.ndarray:
-    arr = np.asarray(a, dtype=dtype)
+    """A read-only C-contiguous copy; the caller's array stays writable."""
+    arr = np.array(a, dtype=dtype, order="C")
     if shape is not None and arr.shape != shape:
         raise StructuralError(f"expected array of shape {shape}, got {arr.shape}")
-    arr = np.ascontiguousarray(arr)
     arr.setflags(write=False)
     return arr
 
@@ -241,23 +241,40 @@ def validate(config: Configuration | RawAssignment, inst: Instance) -> list[tupl
     return violations
 
 
-def objective_parts(inst: Instance, assign: np.ndarray) -> tuple[float, float]:
+def objective_parts(inst: Instance, assign: np.ndarray, d_tel: float = 0.0) -> tuple[float, float]:
     """(preference sum, social sum) of an assignment, counting co-display per slot.
 
     Social sums both directed utilities of every co-displayed friend pair.  The
     assignment may contain duplicates (raw independent rounding output); for a
     feasible configuration per-slot counting coincides with per-item counting
-    because an item can appear at most once per user.
+    because an item can appear at most once per user.  With a teleportation
+    discount d_tel > 0, a friend pair that shares an item at different slots
+    adds d_tel times its weight for that item; this is meant for feasible
+    configurations, where a shared item is either aligned or not.
     """
     users = np.arange(inst.n)
     pref_sum = float(inst.pref[users[:, None], assign].sum())
     social = 0.0
     for e in inst.edges:
-        same = assign[e.u] == assign[e.v]
+        row_u, row_v = assign[e.u], assign[e.v]
+        same = row_u == row_v
         if same.any():
-            w = e.weight()
-            social += float(w[assign[e.u][same]].sum())
+            social += float(e.weight()[row_u[same]].sum())
+        if d_tel > 0.0:
+            off = (row_u[:, None] == row_v[None, :]).any(axis=1) & ~same
+            if off.any():
+                social += d_tel * float(e.weight()[row_u[off]].sum())
     return pref_sum, social
+
+
+def objective_value(inst: Instance, pref_sum: float, social: float,
+                    mode: str = "canonical") -> float:
+    """Combine objective parts in the requested convention."""
+    if mode == "canonical":
+        return (1.0 - inst.lam) * pref_sum + inst.lam * social
+    if mode == "unit_sum":
+        return pref_sum + social
+    raise DomainError(f"unknown objective mode {mode!r}")
 
 
 def savg_utility(inst: Instance, config: Configuration, u: int, c: int) -> float:
@@ -279,12 +296,7 @@ def total_objective(inst: Instance, config: Configuration, mode: str = "canonica
     """Total objective of a feasible configuration in the requested convention."""
     if validate(config, inst):
         raise DomainError("configuration is not feasible")
-    pref_sum, social = objective_parts(inst, config.assign)
-    if mode == "canonical":
-        return (1.0 - inst.lam) * pref_sum + inst.lam * social
-    if mode == "unit_sum":
-        return pref_sum + social
-    raise DomainError(f"unknown objective mode {mode!r}")
+    return objective_value(inst, *objective_parts(inst, config.assign), mode)
 
 
 def scale_preferences(inst: Instance) -> Instance:
@@ -312,25 +324,7 @@ def st_objective(inst: Instance, config: Configuration, mode: str = "canonical")
         raise DomainError("instance has no teleportation parameters")
     if validate(config, inst):
         raise DomainError("configuration is not feasible")
-    d = inst.st.d_tel
-    a = config.assign
-    users = np.arange(inst.n)
-    pref_sum = float(inst.pref[users[:, None], a].sum())
-    social = 0.0
-    for e in inst.edges:
-        w = e.weight()
-        # direct and indirect are mutually exclusive per item: an item appears
-        # at most once in each row, so a common item is either aligned or not.
-        common = np.intersect1d(a[e.u], a[e.v])
-        for c in common:
-            su = int(np.flatnonzero(a[e.u] == c)[0])
-            sv = int(np.flatnonzero(a[e.v] == c)[0])
-            social += float(w[c]) * (1.0 if su == sv else d)
-    if mode == "canonical":
-        return (1.0 - inst.lam) * pref_sum + inst.lam * social
-    if mode == "unit_sum":
-        return pref_sum + social
-    raise DomainError(f"unknown objective mode {mode!r}")
+    return objective_value(inst, *objective_parts(inst, config.assign, inst.st.d_tel), mode)
 
 
 def partition_subgroups(config: Configuration, s: int) -> SubgroupPartition:
@@ -366,17 +360,20 @@ def st_feasibility(inst: Instance, assignment: Configuration | RawAssignment) ->
 
 
 def metrics(inst: Instance, config: Configuration) -> MetricsReport:
-    """Compute the full evaluation report for a feasible configuration."""
-    if inst.n == 0:
-        raise DomainError("empty instance")
+    """Compute the full evaluation report for a feasible configuration.
+
+    On a teleportation instance the objectives and the personal/social shares
+    include the discounted off-slot social terms, as in `st_objective`.
+    """
     if validate(config, inst):
         raise DomainError("configuration is not feasible")
     a = config.assign
-    pref_sum, social = objective_parts(inst, a)
+    d_tel = inst.st.d_tel if inst.st is not None else 0.0
+    pref_sum, social = objective_parts(inst, a, d_tel)
     personal = (1.0 - inst.lam) * pref_sum
     soc = inst.lam * social
-    canonical = personal + soc
-    unit = pref_sum + social
+    canonical = objective_value(inst, pref_sum, social, "canonical")
+    unit = objective_value(inst, pref_sum, social, "unit_sum")
     if canonical > FLOAT_ATOL:
         personal_pct = 100.0 * personal / canonical
         social_pct = 100.0 * soc / canonical
@@ -466,6 +463,15 @@ def metrics(inst: Instance, config: Configuration) -> MetricsReport:
 # ---------------------------------------------------------------------------
 
 
+def array_field(value, dtype, what: str) -> np.ndarray:
+    """A parsed JSON list as an array; a ragged or non-numeric list is a
+    StructuralError rather than numpy's ValueError."""
+    try:
+        return np.asarray(value, dtype=dtype)
+    except (ValueError, TypeError) as exc:
+        raise StructuralError(f"{what} is not a rectangular numeric array ({exc})") from None
+
+
 def instance_to_dict(inst: Instance) -> dict:
     d = {
         "n": inst.n,
@@ -491,11 +497,12 @@ def instance_from_dict(d: dict) -> Instance:
         if d.get("st") is not None:
             st = StParams(d_tel=float(d["st"]["d_tel"]), M=int(d["st"]["M"]))
         edges = [
-            Edge(int(e["u"]), int(e["v"]), np.asarray(e["tau_uv"], float), np.asarray(e["tau_vu"], float))
+            Edge(int(e["u"]), int(e["v"]), array_field(e["tau_uv"], float, "tau_uv"),
+                 array_field(e["tau_vu"], float, "tau_vu"))
             for e in d.get("edges", [])
         ]
         sizes = int(d["n"]), int(d["m"]), int(d["k"])
-        pref, lam = np.asarray(d["pref"], float), float(d["lambda"])
+        pref, lam = array_field(d["pref"], float, "pref"), float(d["lambda"])
     except (KeyError, TypeError) as exc:
         raise StructuralError(f"instance is missing or has a malformed field ({exc})") from None
     n, m, k = sizes
@@ -520,4 +527,4 @@ def config_to_dict(config: Configuration | RawAssignment) -> dict:
 def config_from_dict(d: dict) -> Configuration:
     if not isinstance(d, dict) or "assign" not in d:
         raise StructuralError("a configuration needs the key 'assign'")
-    return Configuration(assign=np.asarray(d["assign"], np.int64))
+    return Configuration(assign=array_field(d["assign"], np.int64, "assign"))

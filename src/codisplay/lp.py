@@ -521,7 +521,7 @@ class FractionalSolution:
     x: np.ndarray  # (n, m, k)
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(np.asarray(self.x, dtype=float))
+        arr = np.array(self.x, dtype=float, order="C")  # never the caller's array
         arr[np.abs(arr) < 1e-9] = 0.0
         arr.setflags(write=False)
         object.__setattr__(self, "x", arr)
@@ -602,12 +602,11 @@ def export_model(model: LpModel, fmt: str = "lp_file", integrality: bool = False
         terms = [f"+ 0 {model.var_names[0]}"]
     out.append(" obj: " + " ".join(terms).lstrip("+ "))
     out.append("Subject To")
-    sense_txt = {"<=": "<=", ">=": ">=", "=": "="}
     for i, (cols, coefs, sense, rhs) in enumerate(model.rows):
         parts = []
         for j, coef in zip(cols, coefs):
             parts.append(f"{'+ ' if coef >= 0 else '- '}{_fmt(abs(coef))} {model.var_names[j]}")
-        out.append(f" c{i + 1}: " + " ".join(parts).lstrip("+ ") + f" {sense_txt[sense]} {_fmt(rhs)}")
+        out.append(f" c{i + 1}: " + " ".join(parts).lstrip("+ ") + f" {sense} {_fmt(rhs)}")
     bound_lines = [
         f" 0 <= {name} <= {_fmt(ub)}"
         for name, ub in zip(model.var_names, model.upper)

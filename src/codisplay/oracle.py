@@ -16,12 +16,8 @@ class OracleSizeError(DomainError):
     """The configuration space is too large for exhaustive search."""
 
 
-def _perm_count(m: int, k: int) -> int:
-    return math.perm(m, k)
-
-
 def _guard(inst: Instance) -> int:
-    per_user = _perm_count(inst.m, inst.k)
+    per_user = math.perm(inst.m, inst.k)
     total = per_user ** inst.n
     if total > GUARD_LIMIT:
         raise OracleSizeError(
@@ -127,11 +123,8 @@ def _search(inst: Instance, arr: np.ndarray, pref_scores: np.ndarray,
             if m_cap is not None:
                 add_counts(i, -1)
 
-    if n == 1:
+    if n == 1:  # a single user can never exceed a cap of >= 1
         vec = pref_scores[0]
-        if m_cap is not None:
-            # a single user can never exceed a cap of >= 1
-            pass
         i = int(np.argmax(vec))
         return [i], float(vec[i])
     recurse(0, 0.0)

@@ -13,11 +13,11 @@ bit-reproducible from its seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import Configuration, DomainError, Instance, optimistic_utility
+from .core import Configuration, DomainError, Instance, optimistic_utility, total_objective
 from .lp import FractionalSolution
 
 EXACT_SUBSET_LIMIT = 12
@@ -70,6 +70,7 @@ class RoundingState:
         self.diagnostics = {"fallback_cells": 0, "samples": 0, "iterations": 0}
 
     def eligible(self, u: int, c: int, s: int) -> bool:
+        """True iff user u has slot s empty and has never been shown item c."""
         return self.assign[u, s] < 0 and not self.held[u, c]
 
     def eligible_users(self, c: int, s: int) -> np.ndarray:
@@ -100,25 +101,18 @@ class RoundingState:
         return Configuration(assign=self.assign.copy())
 
 
-def eligible(state: RoundingState, u: int, c: int, s: int) -> bool:
-    """True iff user u has slot s empty and has never been shown item c."""
-    return state.eligible(u, c, s)
-
-
-def csf_step(state: RoundingState, frac: FractionalSolution, focal: FocalParams,
-             cap: Optional[int] = None) -> list[int]:
+def csf_step(state: RoundingState, focal: FocalParams) -> list[int]:
     """Apply one co-display step; returns the users assigned (may be empty).
 
     Without a cap every eligible user whose factor reaches the threshold is
-    assigned.  With a cap, users are added in descending-factor order (ties
-    to the lower index) until the (item, slot) subgroup holds `cap` users;
-    reaching the cap zeroes the remaining eligible factors and locks the pair.
-
-    `frac` must be the solution the state was built from; thresholds compare
-    against the state's working copy, which equals frac until lock-zeroing.
+    assigned.  With the state's cap, users are added in descending-factor
+    order (ties to the lower index) until the (item, slot) subgroup holds
+    `cap` users; reaching the cap zeroes the remaining eligible factors and
+    locks the pair.  Thresholds compare against the state's working copy of
+    the factors.
     """
     c, s, alpha = focal.c, focal.s, focal.alpha
-    cap = cap if cap is not None else state.cap
+    cap = state.cap
     if state.locked[c, s]:
         return []
     elig = state.eligible_users(c, s)
@@ -190,48 +184,33 @@ def avg(inst: Instance, frac: FractionalSolution, rng_seed: int = 0,
         stats: Optional[dict] = None) -> Configuration:
     """Randomized rounding: sample focal parameters until every cell is filled.
 
-    The uniform sampler draws (c, s) uniformly and alpha from [0, 1],
-    resampling when the target subgroup would be empty.  The advanced sampler
-    draws (c, s) proportionally to the maximum eligible factor and alpha from
-    [0, that maximum]; its outcome distribution equals the uniform sampler
-    conditioned on nonempty outcomes.  When given, `stats` receives the run
-    counters (productive iterations, samples drawn, fallback assignments).
+    Each draw comes from `sample_focal`.  A uniform draw whose target subgroup
+    is empty is a miss; after 64 misses in a row the state is probed for
+    starvation.  The advanced sampler never misses, and when no positive
+    factor is left the starved cells are filled directly.  When given,
+    `stats` receives the run counters (productive iterations, samples drawn,
+    fallback assignments).
     """
     if sampler not in ("uniform", "advanced"):
         raise DomainError(f"unknown sampler {sampler!r}")
     state = RoundingState(inst, frac, cap=cap)
     rng = _rng(rng_seed)
-    m, k = inst.m, inst.k
     misses = 0
     while state.unfilled:
-        if sampler == "uniform":
-            c = int(rng.integers(m))
-            s = int(rng.integers(k))
-            alpha = float(rng.random())
-            state.diagnostics["samples"] += 1
-            assigned = csf_step(state, frac, FocalParams(c, s, alpha))
-            if assigned:
-                state.diagnostics["iterations"] += 1
-                misses = 0
-            else:
-                misses += 1
-                if misses >= 64:  # probe for starvation before resampling further
-                    if state.xbar().sum() <= 0.0:
-                        _fallback_fill(state)
-                    misses = 0
-        else:
-            xb = state.xbar()
-            total = xb.sum()
-            if total <= 0.0:
+        focal = sample_focal(state, rng, sampler)
+        if focal is None and sampler == "advanced":  # no positive factor left
+            _fallback_fill(state)
+            continue
+        state.diagnostics["samples"] += 1
+        if focal is not None and csf_step(state, focal):
+            state.diagnostics["iterations"] += 1
+            misses = 0
+            continue
+        misses += 1
+        if misses >= 64:  # probe for starvation before resampling further
+            if state.xbar().sum() <= 0.0:
                 _fallback_fill(state)
-                continue
-            state.diagnostics["samples"] += 1
-            flat = int(rng.choice(m * k, p=(xb / total).ravel()))
-            c, s = divmod(flat, k)
-            alpha = float(rng.random()) * float(xb[c, s])
-            assigned = csf_step(state, frac, FocalParams(c, s, alpha))
-            if assigned:
-                state.diagnostics["iterations"] += 1
+            misses = 0
     if stats is not None:
         stats.update(state.diagnostics)
     return state.to_configuration()
@@ -241,8 +220,12 @@ def sample_focal(state: RoundingState, rng: np.random.Generator,
                  sampler: str) -> Optional[FocalParams]:
     """Draw one set of focal parameters at the current state (no assignment).
 
-    Used for distribution tests; the uniform sampler returns None on a draw
-    whose target set would be empty (a skipped iteration).
+    The uniform sampler draws (c, s) uniformly and alpha from [0, 1] and
+    returns None when the target subgroup would be empty (a miss).  The
+    advanced sampler draws (c, s) proportionally to the maximum eligible
+    factor and alpha from [0, that maximum], so its outcome distribution
+    equals the uniform sampler conditioned on nonempty outcomes; it returns
+    None only when no positive factor is left.
     """
     m, k = state.inst.m, state.inst.k
     if sampler == "uniform":
@@ -269,7 +252,7 @@ def avg_replay(inst: Instance, frac: FractionalSolution,
     """Deterministically apply a recorded focal-parameter sequence."""
     state = RoundingState(inst, frac)
     for focal in sequence:
-        csf_step(state, frac, focal)
+        csf_step(state, focal)
         if state.unfilled == 0:
             break
     return state.to_configuration()  # raises with the unfilled cells listed
@@ -280,12 +263,38 @@ def avg_replay(inst: Instance, frac: FractionalSolution,
 # ---------------------------------------------------------------------------
 
 
+def _adjacency(q: int, pairs: list[tuple[int, int, float]]) -> list[list[tuple[int, float]]]:
+    """Per-user (partner, bonus) lists of the pair bonuses."""
+    adj: list[list[tuple[int, float]]] = [[] for _ in range(q)]
+    for i, j, b in pairs:
+        adj[i].append((j, b))
+        adj[j].append((i, b))
+    return adj
+
+
+def _best_prefix(order: np.ndarray, a: np.ndarray, adj: list[list[tuple[int, float]]],
+                 capacity: Optional[int]) -> tuple[float, np.ndarray]:
+    """Best nonempty prefix of `order` (at most `capacity` users) and its mask."""
+    q = a.size
+    limit = q if capacity is None else min(q, capacity)
+    chosen = np.zeros(q, dtype=bool)
+    best_score, best_mask = -np.inf, None
+    score = 0.0
+    for t in range(limit):
+        u = int(order[t])
+        chosen[u] = True
+        score += a[u] + sum(b for v, b in adj[u] if chosen[v])
+        if score > best_score:
+            best_score, best_mask = score, chosen.copy()
+    return best_score, best_mask
+
+
 def _best_subset(a: np.ndarray, pairs: list[tuple[int, int, float]],
                  capacity: Optional[int]) -> tuple[float, np.ndarray]:
     """Maximize sum(a[S]) + sum of pair bonuses inside S over nonempty S.
 
     Exact by enumeration up to EXACT_SUBSET_LIMIT users; beyond that, seeded
-    from the best descending-factor prefix and improved by single-user moves.
+    from the best descending-score prefix and improved by single-user moves.
     All pair bonuses are nonnegative, so the exact problem is supermodular;
     the local search is a documented approximation for large eligible sets.
     """
@@ -301,24 +310,8 @@ def _best_subset(a: np.ndarray, pairs: list[tuple[int, int, float]],
         best = int(np.argmax(scores))
         return float(scores[best]), np.flatnonzero(bits[best])
 
-    # greedy seed: prefixes of users ordered by linear score
-    order = np.argsort(-a, kind="stable")
-    limit = q if capacity is None else min(q, capacity)
-    adj: list[list[tuple[int, float]]] = [[] for _ in range(q)]
-    for i, j, b in pairs:
-        adj[i].append((j, b))
-        adj[j].append((i, b))
-    best_score, best_mask = -np.inf, None
-    score = 0.0
-    chosen = np.zeros(q, dtype=bool)
-    for t in range(limit):
-        u = int(order[t])
-        chosen[u] = True
-        score += a[u] + sum(b for v, b in adj[u] if chosen[v])
-        if score > best_score:
-            best_score, best_mask = score, chosen.copy()
-    in_set = best_mask
-    score = best_score
+    adj = _adjacency(q, pairs)
+    score, in_set = _best_prefix(np.argsort(-a, kind="stable"), a, adj, capacity)
     for _ in range(4 * q):  # strict improvement, terminates
         moved = False
         for u in range(q):
@@ -336,35 +329,6 @@ def _best_subset(a: np.ndarray, pairs: list[tuple[int, int, float]],
         if not moved:
             break
     return float(score), np.flatnonzero(in_set)
-
-
-def _best_prefix_by_factor(vals: np.ndarray, a: np.ndarray,
-                           pairs: list[tuple[int, int, float]],
-                           capacity: Optional[int]) -> tuple[float, np.ndarray]:
-    """Best prefix of the (factor desc, index asc) user ordering.
-
-    The prefixes include every threshold target set (and its size-capped
-    truncation), so taking the max against this keeps the deterministic
-    solver's step value at least that of every plain threshold step, which is
-    what the worst-case guarantee rests on.
-    """
-    q = vals.size
-    order = np.lexsort((np.arange(q), -vals))
-    adj: list[list[tuple[int, float]]] = [[] for _ in range(q)]
-    for i, j, b in pairs:
-        adj[i].append((j, b))
-        adj[j].append((i, b))
-    limit = q if capacity is None else min(q, capacity)
-    chosen = np.zeros(q, dtype=bool)
-    best_score, best_mask = -np.inf, None
-    score = 0.0
-    for t in range(limit):
-        u = int(order[t])
-        chosen[u] = True
-        score += a[u] + sum(b for v, b in adj[u] if chosen[v])
-        if score > best_score:
-            best_score, best_mask = score, chosen.copy()
-    return best_score, np.flatnonzero(best_mask)
 
 
 def avgd(inst: Instance, frac: FractionalSolution, r: float = 0.25,
@@ -432,11 +396,15 @@ def avgd(inst: Instance, frac: FractionalSolution, r: float = 0.25,
                         pairs.append((pos[e.u], pos[e.v], w_c + r * float(q_es[ei, s])))
                 score, local = _best_subset(a_lin, pairs, capacity)
                 if elig.size > EXACT_SUBSET_LIMIT:
-                    # guarantee dominance over every plain threshold step
-                    t_score, t_local = _best_prefix_by_factor(
-                        xt[elig, c, s], a_lin, pairs, capacity)
+                    # the (factor desc, index asc) prefixes include every
+                    # threshold target set and its capped truncation, so
+                    # dominating them keeps the worst-case guarantee
+                    q = elig.size
+                    t_score, t_mask = _best_prefix(
+                        np.lexsort((np.arange(q), -xt[elig, c, s])), a_lin,
+                        _adjacency(q, pairs), capacity)
                     if t_score > score + _TIE_EPS:
-                        score, local = t_score, t_local
+                        score, local = t_score, np.flatnonzero(t_mask)
                 if best is None or score > best[0] + _TIE_EPS:
                     users = elig[local]
                     best = (score, c, s, users)
@@ -485,17 +453,13 @@ def avg_st(inst: Instance, frac: FractionalSolution, rng_seed: int = 0,
 
 
 def best_of(inst: Instance, frac: FractionalSolution, seeds: Sequence[int],
-            sampler: str = "uniform", cap: Optional[int] = None,
-            objective: Optional[Callable[[Configuration], float]] = None) -> Configuration:
-    """Run the randomized solver once per seed and keep the best output."""
-    from .core import total_objective
-
-    if objective is None:
-        objective = lambda cfg: total_objective(inst, cfg, "unit_sum")
+            sampler: str = "uniform", cap: Optional[int] = None) -> Configuration:
+    """Run the randomized solver once per seed and keep the output with the
+    highest unit-sum objective (the first on ties)."""
     best_cfg, best_val = None, -np.inf
     for seed in seeds:
         cfg = avg(inst, frac, rng_seed=seed, sampler=sampler, cap=cap)
-        val = objective(cfg)
+        val = total_objective(inst, cfg, "unit_sum")
         if val > best_val:
             best_cfg, best_val = cfg, val
     assert best_cfg is not None

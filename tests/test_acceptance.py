@@ -258,7 +258,7 @@ def test_c10_sampler_equivalence(example, example_frac):
     # freeze a mid-run state, then compare empirical outcome distributions
     state = rounding.RoundingState(example, example_frac)
     for focal in replay_sequence()[:2]:
-        rounding.csf_step(state, example_frac, focal)
+        rounding.csf_step(state, focal)
 
     def outcome(focal):
         elig = state.eligible_users(focal.c, focal.s)

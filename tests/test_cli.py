@@ -152,6 +152,24 @@ class TestEval:
         assert report["violations"] == 1
 
 
+    def test_teleport_eval_agrees_with_solve(self, tmp_path, capsys):
+        # eval scores a teleportation instance with the discounted off-slot
+        # terms, exactly as solve does
+        inst, sol = tmp_path / "tele.json", tmp_path / "sol.json"
+        assert run(["gen", "--kind", "random", "--n", "6", "--m", "5", "--k", "2",
+                    "--edge-prob", "0.6", "--seed", "3", "--d-tel", "0.5", "--cap", "3",
+                    "--out", str(inst)]) == 0
+        assert run(["solve", "--algo", "per", "--in", str(inst), "--out", str(sol)]) == 0
+        capsys.readouterr()
+        assert run(["eval", "--in", str(inst), "--sol", str(sol)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        solved = core.load_json(sol)
+        assert solved["objective_canonical"] == pytest.approx(6.9016634, abs=1e-7)
+        assert report["objective_canonical"] == solved["objective_canonical"]
+        assert report["objective_unit_sum"] == solved["objective_unit_sum"]
+        assert report["personal_pct"] + report["social_pct"] == pytest.approx(100.0)
+
+
 class TestCompare:
     def test_fixture_table(self, fixture_files, tmp_path, capsys):
         out = tmp_path / "table.csv"
@@ -207,6 +225,15 @@ class TestCompare:
             return [{k: v for k, v in row.items() if k != "runtime_ms"} for row in rows]
 
         assert drop_runtime(seq_out) == drop_runtime(par_out)
+
+    def test_cells_receive_the_instance(self, fixture_files, tmp_path, monkeypatch):
+        parsed = []
+        real = core.instance_from_dict
+        monkeypatch.setattr(core, "instance_from_dict",
+                            lambda d: parsed.append(1) or real(d))
+        assert run(["compare", "--in", fixture_files["inst"], "--algos", "per,group,avgd",
+                    "--seeds", "0,1", "--out", str(tmp_path / "c.csv")]) == 0
+        assert len(parsed) == 1  # the instance file only, no round trip per cell
 
     def test_each_relaxation_solved_once(self, fixture_files, tmp_path, monkeypatch):
         tele = tmp_path / "tele.json"
@@ -284,6 +311,27 @@ class TestBadInput:
         core.dump_json({"assignment": [[0, 1, 2]] * 4}, bad)
         self.assert_clean_error(run(["eval", "--in", fixture_files["inst"],
                                      "--sol", str(bad)]), capsys)
+
+    def test_ragged_preferences(self, tmp_path, capsys):
+        d = core.instance_to_dict(make_example())
+        d["pref"][1] = d["pref"][1][:-1]
+        bad = tmp_path / "ragged.json"
+        core.dump_json(d, bad)
+        self.assert_clean_error(run(["solve", "--algo", "per", "--in", str(bad)]), capsys)
+
+    def test_ragged_solution(self, fixture_files, tmp_path, capsys):
+        bad = tmp_path / "sol.json"
+        core.dump_json({"assign": [[0, 1, 2], [0, 1], [0, 1, 2], [0, 1, 2]]}, bad)
+        self.assert_clean_error(run(["eval", "--in", fixture_files["inst"],
+                                     "--sol", str(bad)]), capsys)
+
+    def test_ragged_factors(self, fixture_files, tmp_path, capsys):
+        x = make_frac().x.tolist()
+        x[2] = x[2][:-1]
+        bad = tmp_path / "frac.json"
+        core.dump_json({"x": x}, bad)
+        self.assert_clean_error(run(["solve", "--algo", "avgd", "--in", fixture_files["inst"],
+                                     "--frac", str(bad)]), capsys)
 
     def test_sequence_entry_without_alpha(self, fixture_files, tmp_path, capsys):
         bad = tmp_path / "seq.json"

@@ -72,6 +72,21 @@ class TestInstanceInvariants:
                         lam=0.5, st=cd.StParams(d_tel=0.0, M=1))
 
 
+    def test_caller_arrays_copied_not_frozen(self):
+        pref = np.ones((2, 2))
+        tau = np.array([0.1, 0.2])
+        assign = np.array([[0], [1]])
+        inst = cd.Instance(n=2, m=2, k=1, pref=pref, edges=(cd.Edge(0, 1, tau, tau),),
+                           lam=0.5)
+        cfg = cd.Configuration(assign=assign)
+        assert pref.flags.writeable and tau.flags.writeable and assign.flags.writeable
+        pref[0, 0] = tau[0] = 9.0
+        assign[0, 0] = 1
+        assert inst.pref[0, 0] == 1.0 and inst.edges[0].tau_uv[0] == 0.1
+        assert cfg.assign[0, 0] == 0
+        assert not inst.pref.flags.writeable and not cfg.assign.flags.writeable
+
+
 class TestValidate:
     def test_duplicate_row_flagged(self, example):
         cfg = cd.Configuration(assign=np.array([[0, 0, 1], [0, 1, 2], [0, 1, 2], [0, 1, 2]]))
@@ -231,6 +246,17 @@ class TestStObjective:
         assert cd.st_objective(inst, cfg) == pytest.approx(want)
 
 
+    def test_discounted_parts_match_st_objective(self):
+        inst = cd.gen_random(5, 5, 3, edge_prob=0.8, seed=8, d_tel=0.3, m_cap=5)
+        rng = np.random.Generator(np.random.Philox(4))
+        for _ in range(25):
+            cfg = random_config(inst, rng)
+            pref_sum, social = objective_parts(inst, cfg.assign, inst.st.d_tel)
+            assert cd.st_objective(inst, cfg, "unit_sum") == pref_sum + social
+            assert cd.st_objective(inst, cfg) == 0.5 * pref_sum + 0.5 * social
+            assert objective_parts(inst, cfg.assign)[1] <= social
+
+
 class TestPartition:
     def test_single_group(self, example):
         cfg = cd.Configuration(assign=np.array([[4, 0, 1]] * 4))
@@ -296,6 +322,17 @@ class TestMetrics:
         rep = cd.metrics(inst, cfg)
         assert rep.st_feasible is not None
         assert rep.st_violation_count is not None
+
+    def test_teleport_objective_reported(self):
+        inst = cd.gen_random(5, 4, 2, edge_prob=0.8, seed=6, d_tel=0.5, m_cap=5)
+        rng = np.random.Generator(np.random.Philox(9))
+        for _ in range(10):
+            cfg = random_config(inst, rng)
+            rep = cd.metrics(inst, cfg)
+            assert rep.objective_canonical == cd.st_objective(inst, cfg, "canonical")
+            assert rep.objective_unit_sum == cd.st_objective(inst, cfg, "unit_sum")
+            if rep.objective_canonical > 0:
+                assert rep.personal_pct + rep.social_pct == pytest.approx(100.0)
 
     def test_csv_row_matches_fields(self, example):
         rep = cd.metrics(example, cd.Configuration(assign=RANDOMIZED_TABLE))

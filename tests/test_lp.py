@@ -304,6 +304,19 @@ class TestStModel:
         assert inst.lam * res.objective >= opt - 1e-7
 
 
+class TestFractionalSolution:
+    def test_rewrapping_a_solution(self, example_frac):
+        again = cd.FractionalSolution(example_frac.x)
+        assert np.array_equal(again.x, example_frac.x)
+
+    def test_caller_array_untouched(self):
+        x = np.full((1, 2, 1), 0.5)
+        x[0, 0, 0] = 1e-12
+        frac = cd.FractionalSolution(x)
+        assert frac.x[0, 0, 0] == 0.0 and not frac.x.flags.writeable
+        assert x[0, 0, 0] == 1e-12 and x.flags.writeable
+
+
 class TestExpansion:
     def test_uniform_split(self):
         inst = cd.Instance(n=1, m=2, k=2, pref=np.ones((1, 2)), edges=(), lam=0.5)

@@ -36,20 +36,20 @@ class TestEligibility:
     def test_fresh_state_all_eligible(self, example, example_frac):
         state = RoundingState(example, example_frac)
         assert all(
-            rounding.eligible(state, u, c, s)
+            state.eligible(u, c, s)
             for u in range(4) for c in range(5) for s in range(3)
         )
 
     def test_item_blocks_other_slots(self, example, example_frac):
         state = RoundingState(example, example_frac)
         state.assign_users([0], 2, 1)
-        assert not rounding.eligible(state, 0, 2, 0)
-        assert not rounding.eligible(state, 0, 2, 2)
+        assert not state.eligible(0, 2, 0)
+        assert not state.eligible(0, 2, 2)
 
     def test_slot_blocks_other_items(self, example, example_frac):
         state = RoundingState(example, example_frac)
         state.assign_users([0], 2, 1)
-        assert all(not rounding.eligible(state, 0, c, 1) for c in range(5))
+        assert all(not state.eligible(0, c, 1) for c in range(5))
 
     def test_filled_cell_never_rewritten(self, example, example_frac):
         state = RoundingState(example, example_frac)
@@ -62,31 +62,31 @@ class TestCsfStep:
     def test_fixture_first_step(self, example, example_frac):
         # threshold 0.06 at (item 1, slot 3): factors 1/3 clear it, zero does not
         state = RoundingState(example, example_frac)
-        got = rounding.csf_step(state, example_frac, FocalParams(0, 2, 0.06))
+        got = rounding.csf_step(state, FocalParams(0, 2, 0.06))
         assert got == [0, 1, 3]
 
     def test_above_max_threshold_is_noop(self, example, example_frac):
         state = RoundingState(example, example_frac)
         before = state.assign.copy()
-        assert rounding.csf_step(state, example_frac, FocalParams(0, 2, 0.9)) == []
+        assert rounding.csf_step(state, FocalParams(0, 2, 0.9)) == []
         assert np.array_equal(state.assign, before)
 
     def test_cap_takes_top_factors_and_locks(self):
         state, frac = small_state([0.5, 0.4, 0.3], cap=2)
-        got = rounding.csf_step(state, frac, FocalParams(0, 0, 0.1))
+        got = rounding.csf_step(state, FocalParams(0, 0, 0.1))
         assert got == [0, 1]
         assert state.x[2, 0, 0] == 0.0  # remaining eligible factor zeroed
         assert state.locked[0, 0]
 
     def test_cap_without_overflow_no_lock(self):
         state, frac = small_state([0.5, 0.4, 0.3], cap=3)
-        got = rounding.csf_step(state, frac, FocalParams(0, 0, 0.45))
+        got = rounding.csf_step(state, FocalParams(0, 0, 0.45))
         assert got == [0]
         assert not state.locked[0, 0]
 
     def test_xbar_tracks_eligible_maximum(self, example, example_frac):
         state = RoundingState(example, example_frac)
-        rounding.csf_step(state, example_frac, FocalParams(0, 2, 0.06))
+        rounding.csf_step(state, FocalParams(0, 2, 0.06))
         xb = state.xbar()
         for c in range(5):
             for s in range(3):
@@ -105,7 +105,7 @@ class TestReplay:
     def test_two_step_prefix_state(self, example, example_frac):
         state = RoundingState(example, example_frac)
         for focal in replay_sequence()[:2]:
-            rounding.csf_step(state, example_frac, focal)
+            rounding.csf_step(state, focal)
         # second step co-displays item 3 at slot 1 to users 1, 2, 3
         assert list(state.assign[:, 1]) == [-1, 3, 3, 3]
         assert list(state.assign[:, 2]) == [0, 0, -1, 0]
@@ -282,6 +282,93 @@ def _opt_lp_rest(inst, state, target, s):
     return val
 
 
+def _large_suite():
+    """Seeded instances with more eligible users per (item, slot) than the
+    exact subset search enumerates, so avgd runs the local search and the
+    factor-prefix dominance check."""
+    shapes = [(16, 5, 2), (24, 6, 2), (32, 6, 3), (40, 8, 3)]
+    out = [cd.gen_random(n, m, k, edge_prob=min(0.5, 6 / n), seed=4000 + i)
+           for i, (n, m, k) in enumerate(shapes)]
+    assert all(inst.n > rounding.EXACT_SUBSET_LIMIT for inst in out)
+    return out
+
+
+class TestLargeEligibleSets:
+    def test_avgd_quarter_bound(self):
+        for inst in _large_suite():
+            frac, bound = lpm.solve_fractional(inst)
+            cfg = cd.avgd(inst, frac, r=0.25)
+            assert cd.validate(cfg, inst) == []
+            assert cd.total_objective(inst, cfg, "unit_sum") >= bound / 4 - 1e-9
+
+    @pytest.mark.parametrize("r", [0.25, 1.0])
+    def test_avgd_step_dominates_threshold_sets(self, r):
+        # with more than EXACT_SUBSET_LIMIT eligible users only the prefix
+        # check keeps each step at least as good as every threshold step;
+        # spread factors give many distinct thresholds per (item, slot)
+        inst = _large_suite()[1]
+        rng = np.random.Generator(np.random.Philox(5))
+        p = rng.dirichlet(np.ones(inst.m), size=inst.n)
+        top = p.max(axis=1, keepdims=True)
+        t = np.minimum(1.0, (1 / inst.k - 1 / inst.m) / (top - 1 / inst.m))
+        p = t * p + (1 - t) / inst.m  # every factor at most 1/k
+        frac = cd.FractionalSolution(np.repeat(p[:, :, None], inst.k, axis=2))
+        frac.check()
+        trace = []
+        cd.avgd(inst, frac, r=r, trace=trace)
+        state = RoundingState(inst, frac)
+        x = state.x
+        for step in trace:
+            for c in range(inst.m):
+                for s in range(inst.k):
+                    elig = state.eligible_users(c, s)
+                    for alpha in np.unique(x[elig, c, s]):
+                        tset = {int(u) for u in elig if x[u, c, s] >= alpha}
+                        alg = float(inst.pref[list(tset), c].sum()) + sum(
+                            float(e.weight()[c]) for e in inst.edges
+                            if e.u in tset and e.v in tset)
+                        fut = _opt_lp_rest(inst, state, tset, s)
+                        assert step["f"] >= alg + r * fut - 1e-9
+            state.assign_users(step["users"], step["c"], step["s"])
+
+    def test_capped_avgd_st_feasible(self):
+        for inst in _large_suite():
+            cap = 2 * -(-inst.n // inst.m)
+            tele = cd.Instance(n=inst.n, m=inst.m, k=inst.k, pref=inst.pref,
+                               edges=inst.edges, lam=inst.lam,
+                               st=cd.StParams(d_tel=0.5, M=cap))
+            frac, _ = lpm.solve_fractional(inst)
+            cfg = cd.avgd(tele, frac, r=0.25, cap=cap)
+            assert cd.st_feasibility(tele, cfg) == (True, 0)
+
+    def test_capped_step_takes_clique_by_factor(self):
+        # eight friends (users 0-7) gain only together on item 0 and hold its
+        # high factors; eight loners prefer item 1.  At cap 8 the greedy seed
+        # by linear score fills up with loners and single moves cannot reach
+        # the clique, so only the factor-prefix check finds it.
+        n, clique = 16, range(8)
+        one = np.array([1.0, 0.0])
+        edges = tuple(cd.Edge(u, v, one, one) for u in clique for v in clique if u < v)
+        pref = np.array([[0.0, 0.0]] * 8 + [[0.0, 4.0]] * 8)
+        inst = cd.Instance(n=n, m=2, k=1, pref=pref, edges=edges, lam=0.5,
+                           st=cd.StParams(d_tel=0.0, M=8))
+        x = np.array([[0.9, 0.1]] * 8 + [[0.1, 0.9]] * 8)[:, :, None]
+        trace = []
+        cfg = cd.avgd(inst, cd.FractionalSolution(x), r=0.25, trace=trace, cap=8)
+        assert (trace[0]["c"], trace[0]["users"]) == (0, list(clique))
+        assert cfg.assign[:, 0].tolist() == [0] * 8 + [1] * 8
+        assert cd.st_feasibility(inst, cfg) == (True, 0)
+
+    def test_avg_both_samplers_within_bound(self):
+        for inst in _large_suite():
+            frac, bound = lpm.solve_fractional(inst)
+            for sampler in ("uniform", "advanced"):
+                for seed in range(3):
+                    cfg = cd.avg(inst, frac, rng_seed=seed, sampler=sampler)
+                    assert cd.validate(cfg, inst) == []
+                    assert cd.total_objective(inst, cfg, "unit_sum") <= bound + 1e-9
+
+
 class TestSizeCappedRounding:
     def test_loose_cap_matches_uncapped(self):
         inst = cd.gen_random(4, 5, 2, edge_prob=0.6, seed=23, d_tel=0.3, m_cap=4)
@@ -341,7 +428,7 @@ class TestSamplerEquivalence:
 
         state = RoundingState(example, example_frac)
         for focal in replay_sequence()[:2]:
-            rounding.csf_step(state, example_frac, focal)
+            rounding.csf_step(state, focal)
 
         def outcome(focal):
             elig = state.eligible_users(focal.c, focal.s)

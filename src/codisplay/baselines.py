@@ -28,12 +28,9 @@ def per_topk(inst: Instance) -> Configuration:
 
 def _group_scores(inst: Instance, members: Sequence[int]) -> np.ndarray:
     """Unit-sum value of co-displaying each item to all of `members`."""
-    mem = set(members)
-    scores = inst.pref[list(members)].sum(axis=0)
-    for e in inst.edges:
-        if e.u in mem and e.v in mem:
-            scores = scores + e.weight()
-    return scores
+    members = list(members)
+    rows = np.vstack([inst.pref[members].sum(axis=0), inst.w[inst.edges_within(members)]])
+    return np.cumsum(rows, axis=0)[-1]  # edges added one at a time, in edge order
 
 
 def group_topk(inst: Instance) -> Configuration:
@@ -79,8 +76,7 @@ def _friendship_partition(inst: Instance, g: int) -> list[list[int]]:
     n = inst.n
     cap = math.ceil(n / g)
     adj = np.zeros((n, n), dtype=np.int64)
-    for e in inst.edges:
-        adj[e.u, e.v] = adj[e.v, e.u] = 1
+    adj[inst.eu, inst.ev] = adj[inst.ev, inst.eu] = 1
     deg = adj.sum(axis=1)
     clusters: list[list[int]] = [[u] for u in range(n)]
 
@@ -185,10 +181,8 @@ def st_prepartition(inst: Instance) -> list[tuple[Instance, np.ndarray]]:
     out = []
     for part in parts:
         local = {u: i for i, u in enumerate(part)}
-        edges = []
-        for e in inst.edges:
-            if e.u in local and e.v in local:
-                edges.append(Edge(local[e.u], local[e.v], e.tau_uv, e.tau_vu))
+        edges = [Edge(local[e.u], local[e.v], e.tau_uv, e.tau_vu)
+                 for e, inside in zip(inst.edges, inst.edges_within(part)) if inside]
         sub = Instance(
             n=len(part), m=inst.m, k=inst.k,
             pref=inst.pref[part],

@@ -220,10 +220,11 @@ def cmd_eval(args) -> int:
     if not isinstance(sol, dict) or "assign" not in sol:
         raise core.StructuralError(f"{args.sol}: missing key 'assign'")
     assign = core.array_field(sol["assign"], np.int64, f"{args.sol}: assign")
-    canonical, unit, feasible, nviol = _objectives(inst, assign)
-    if feasible:
+    # a feasible assignment is validated and scored once, by core.metrics
+    if not core.validate(RawAssignment(assign=assign), inst):
         report = {"feasible": True, **core.metrics(inst, Configuration(assign=assign)).to_dict()}
     else:
+        canonical, unit, _, nviol = _objectives(inst, assign)
         report = {
             "feasible": False,
             "violations": nviol,
@@ -252,11 +253,12 @@ def _compare_cell(payload):
     t0 = time.perf_counter()
     assign, _ = _run_algo(inst, algo, ns, frac)
     runtime_ms = (time.perf_counter() - t0) * 1000.0
-    canonical, unit, feasible, _ = _objectives(inst, assign)
-    if feasible:
+    if not core.validate(RawAssignment(assign=assign), inst):
         rep = core.metrics(inst, Configuration(assign=assign)).to_dict()
+        canonical, unit = rep["objective_canonical"], rep["objective_unit_sum"]
         metric_row = [rep[f] for f in _COMPARE_METRIC_FIELDS]
     else:
+        canonical, unit, _, _ = _objectives(inst, assign)
         metric_row = [""] * len(_COMPARE_METRIC_FIELDS)
     return [algo, seed, f"{canonical:.9g}", f"{unit:.9g}", f"{runtime_ms:.1f}"] + metric_row
 

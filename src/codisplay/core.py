@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -71,7 +71,13 @@ class Edge:
 
 @dataclass(frozen=True)
 class Instance:
-    """A group-item configuration problem instance."""
+    """A group-item configuration problem instance.
+
+    ``edges`` is the input and serialisation form of the friendships; every
+    computation reads the read-only edge index built from it: endpoints
+    ``eu``/``ev`` (E,), ``tau`` (E, 2, m) = (tau(eu, ev, .), tau(ev, eu, .))
+    per edge, and weights ``w = tau[:, 0] + tau[:, 1]`` (E, m).
+    """
 
     n: int
     m: int
@@ -80,6 +86,10 @@ class Instance:
     edges: tuple[Edge, ...]
     lam: float
     st: Optional[StParams] = None
+    eu: np.ndarray = field(init=False, repr=False, compare=False)
+    ev: np.ndarray = field(init=False, repr=False, compare=False)
+    tau: np.ndarray = field(init=False, repr=False, compare=False)
+    w: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
@@ -104,37 +114,40 @@ class Instance:
             if key in seen:
                 raise StructuralError(f"duplicate edge {key}")
             seen.add(key)
-            tau_uv = _frozen_array(e.tau_uv, float, (self.m,))
-            tau_vu = _frozen_array(e.tau_vu, float, (self.m,))
-            if not (np.isfinite(tau_uv).all() and np.isfinite(tau_vu).all()):
-                raise DomainError("social utilities must be finite")
-            if (tau_uv < 0).any() or (tau_vu < 0).any():
-                raise DomainError("social utilities must be nonnegative")
-            frozen_edges.append(Edge(e.u, e.v, tau_uv, tau_vu))
+            frozen_edges.append(Edge(e.u, e.v, _frozen_array(e.tau_uv, float, (self.m,)),
+                                     _frozen_array(e.tau_vu, float, (self.m,))))
         object.__setattr__(self, "edges", tuple(frozen_edges))
+
+        tau = _frozen_array([(e.tau_uv, e.tau_vu) for e in frozen_edges], float)
+        tau = tau.reshape(-1, 2, self.m)
+        if not np.isfinite(tau).all():
+            raise DomainError("social utilities must be finite")
+        if (tau < 0).any():
+            raise DomainError("social utilities must be nonnegative")
+        object.__setattr__(self, "eu", _frozen_array([e.u for e in frozen_edges], np.int64))
+        object.__setattr__(self, "ev", _frozen_array([e.v for e in frozen_edges], np.int64))
+        object.__setattr__(self, "tau", tau)
+        object.__setattr__(self, "w", _frozen_array(tau[:, 0] + tau[:, 1], float))
 
         if self.st is not None and math.ceil(self.n / self.st.M) > self.m:
             raise DomainError(
                 f"infeasible size cap: ceil(n/M) = {math.ceil(self.n / self.st.M)} > m = {self.m}"
             )
 
+    def __reduce__(self):
+        # rebuild through the constructor so that a copy sent to a worker
+        # process is validated and frozen like the original
+        return (Instance, (self.n, self.m, self.k, self.pref, self.edges, self.lam, self.st))
+
     @property
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def edge_weight(self, e: int) -> np.ndarray:
-        """Combined per-item weight of edge e (both directions summed)."""
-        return self.edges[e].weight()
-
-    def directed_social(self, u: int) -> list[tuple[int, np.ndarray]]:
-        """All (friend v, tau(u, v, .)) pairs for user u."""
-        out = []
-        for e in self.edges:
-            if e.u == u:
-                out.append((e.v, e.tau_uv))
-            elif e.v == u:
-                out.append((e.u, e.tau_vu))
-        return out
+    def edges_within(self, users) -> np.ndarray:
+        """(E,) mask of the edges with both endpoints among `users`."""
+        inside = np.zeros(self.n, dtype=bool)
+        inside[np.asarray(users, dtype=np.int64)] = True
+        return inside[self.eu] & inside[self.ev]
 
 
 @dataclass(frozen=True)
@@ -241,6 +254,24 @@ def validate(config: Configuration | RawAssignment, inst: Instance) -> list[tupl
     return violations
 
 
+def running_sum(terms: np.ndarray) -> float:
+    """Sum of a 1-d array added strictly left to right (0.0 when empty); numpy's
+    ``sum`` pairs terms up once there are eight or more."""
+    return float(np.cumsum(terms)[-1]) if terms.size else 0.0
+
+
+def _masked_row_sums(vals: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``vals[i][mask[i]].sum()`` for every row i, in numpy's own summation
+    order: the selected values are packed to the front and each row length is
+    summed as one batch, because padding a row with zeros regroups the terms."""
+    counts = mask.sum(axis=1)
+    packed = np.take_along_axis(vals, np.argsort(~mask, axis=1, kind="stable"), axis=1)
+    out = np.zeros(len(vals))
+    for size in np.unique(counts):
+        out[counts == size] = packed[counts == size, :size].sum(axis=1)
+    return out
+
+
 def objective_parts(inst: Instance, assign: np.ndarray, d_tel: float = 0.0) -> tuple[float, float]:
     """(preference sum, social sum) of an assignment, counting co-display per slot.
 
@@ -254,17 +285,15 @@ def objective_parts(inst: Instance, assign: np.ndarray, d_tel: float = 0.0) -> t
     """
     users = np.arange(inst.n)
     pref_sum = float(inst.pref[users[:, None], assign].sum())
-    social = 0.0
-    for e in inst.edges:
-        row_u, row_v = assign[e.u], assign[e.v]
-        same = row_u == row_v
-        if same.any():
-            social += float(e.weight()[row_u[same]].sum())
-        if d_tel > 0.0:
-            off = (row_u[:, None] == row_v[None, :]).any(axis=1) & ~same
-            if off.any():
-                social += d_tel * float(e.weight()[row_u[off]].sum())
-    return pref_sum, social
+    row_u, row_v = assign[inst.eu], assign[inst.ev]  # (E, k)
+    w_u = np.take_along_axis(inst.w, row_u, axis=1)  # weight of u's item at each slot
+    same = row_u == row_v
+    terms = [_masked_row_sums(w_u, same)]
+    if d_tel > 0.0:
+        off = (row_u[:, :, None] == row_v[:, None, :]).any(axis=2) & ~same
+        terms.append(d_tel * _masked_row_sums(w_u, off))
+    # per edge: the aligned term, then the discounted off-slot term
+    return pref_sum, running_sum(np.column_stack(terms).ravel())
 
 
 def objective_value(inst: Instance, pref_sum: float, social: float,
@@ -277,19 +306,24 @@ def objective_value(inst: Instance, pref_sum: float, social: float,
     raise DomainError(f"unknown objective mode {mode!r}")
 
 
+def _cell_utilities(inst: Instance, assign: np.ndarray) -> np.ndarray:
+    """(n, k) utility of each user for the item shown at each slot (see
+    `savg_utility`); each cell gains its friends' terms in edge order."""
+    util = (1.0 - inst.lam) * inst.pref[np.arange(inst.n)[:, None], assign]
+    e, s = np.nonzero(assign[inst.eu] == assign[inst.ev])  # edge-major
+    c = assign[inst.eu[e], s]
+    np.add.at(util, (np.column_stack([inst.eu[e], inst.ev[e]]), s[:, None]),
+              inst.lam * inst.tau[e, :, c])
+    return util
+
+
 def savg_utility(inst: Instance, config: Configuration, u: int, c: int) -> float:
     """Utility of user u for item c under config: weighted preference plus the
     social terms of every friend seeing c at the same slot."""
-    row = config.assign[u]
-    slots = np.flatnonzero(row == c)
+    slots = np.flatnonzero(config.assign[u] == c)
     if slots.size == 0:
         raise DomainError(f"item {c} is not displayed to user {u}")
-    s = int(slots[0])
-    total = (1.0 - inst.lam) * float(inst.pref[u, c])
-    for v, tau in inst.directed_social(u):
-        if config.assign[v, s] == c:
-            total += inst.lam * float(tau[c])
-    return total
+    return float(_cell_utilities(inst, config.assign)[u, slots[0]])
 
 
 def total_objective(inst: Instance, config: Configuration, mode: str = "canonical") -> float:
@@ -339,10 +373,8 @@ def partition_subgroups(config: Configuration, s: int) -> SubgroupPartition:
 
 def optimistic_utility(inst: Instance) -> np.ndarray:
     """(n, m) upper-bound utility: preference plus all friends' social terms realized."""
-    ub = (1.0 - inst.lam) * inst.pref.copy()
-    for e in inst.edges:
-        ub[e.u] += inst.lam * e.tau_uv
-        ub[e.v] += inst.lam * e.tau_vu
+    ub = (1.0 - inst.lam) * inst.pref
+    np.add.at(ub, np.column_stack([inst.eu, inst.ev]), inst.lam * inst.tau)
     return ub
 
 
@@ -380,13 +412,15 @@ def metrics(inst: Instance, config: Configuration) -> MetricsReport:
     else:
         personal_pct = social_pct = 0.0
 
-    # Inter/Intra: an edge at slot s is intra iff both ends see the same item.
+    n, m, k = inst.n, inst.m, inst.k
     ne = inst.num_edges
+    same = a[inst.eu] == a[inst.ev]  # (E, k): both ends see the same item at slot s
+    cell = np.arange(k) * m + a  # (n, k) subgroup index, slot-major then item
+    sizes = np.bincount(cell.ravel(), minlength=k * m)
+
+    # Inter/Intra: an edge at slot s is intra iff both ends see the same item.
     if ne:
-        intra_per_slot = []
-        for s in range(inst.k):
-            same = sum(1 for e in inst.edges if a[e.u, s] == a[e.v, s])
-            intra_per_slot.append(same / ne)
+        intra_per_slot = same.sum(axis=0) / ne
         intra_pct = 100.0 * float(np.mean(intra_per_slot))
         inter_pct = 100.0 * (1.0 - float(np.mean(intra_per_slot)))
     else:
@@ -394,48 +428,33 @@ def metrics(inst: Instance, config: Configuration) -> MetricsReport:
 
     # Normalized density: subgroup density averaged over all subgroups of all
     # slots (singletons count 0), divided by the density of the whole network.
-    adj = {(min(e.u, e.v), max(e.u, e.v)) for e in inst.edges}
-    if inst.n >= 2 and ne:
-        g_density = ne / (inst.n * (inst.n - 1) / 2)
-        densities = []
-        for s in range(inst.k):
-            for _, members in partition_subgroups(config, s).groups:
-                sz = len(members)
-                if sz < 2:
-                    densities.append(0.0)
-                    continue
-                internal = sum(
-                    1 for i in range(sz) for j in range(i + 1, sz)
-                    if (min(members[i], members[j]), max(members[i], members[j])) in adj
-                )
-                densities.append(internal / (sz * (sz - 1) / 2))
+    if n >= 2 and ne:
+        g_density = ne / (n * (n - 1) / 2)
+        internal = np.bincount(cell[inst.eu][same], minlength=k * m)
+        present = sizes > 0
+        sz = sizes[present]
+        npairs = sz * (sz - 1) / 2
+        densities = np.where(sz >= 2, internal[present] / np.maximum(npairs, 1.0), 0.0)
         normalized_density = float(np.mean(densities)) / g_density
     else:
         normalized_density = 0.0
 
     # Co-display%: friend pairs sharing an item at the same slot at least once.
-    if ne:
-        shared = sum(1 for e in inst.edges if (a[e.u] == a[e.v]).any())
-        codisplay_pct = 100.0 * shared / ne
-    else:
-        codisplay_pct = 0.0
+    codisplay_pct = 100.0 * int(same.any(axis=1).sum()) / ne if ne else 0.0
 
     # Alone%: users that form a singleton subgroup at every slot.
-    alone = 0
-    for u in range(inst.n):
-        if all((a[:, s] == a[u, s]).sum() == 1 for s in range(inst.k)):
-            alone += 1
-    alone_pct = 100.0 * alone / inst.n
+    alone_pct = 100.0 * int((sizes[cell] == 1).all(axis=1).sum()) / n
 
-    # Regret: achieved utility over the optimistic top-k bound.
+    # Regret: achieved utility (slots added in order) over the optimistic
+    # top-k bound.
     ub = optimistic_utility(inst)
-    regret = []
-    for u in range(inst.n):
-        achieved = sum(savg_utility(inst, config, u, int(c)) for c in a[u])
-        order = sorted(range(inst.m), key=lambda c: (-ub[u, c], c))[: inst.k]
-        denom = float(ub[u, order].sum())
-        hap = achieved / denom if denom > FLOAT_ATOL else 1.0
-        regret.append(min(max(1.0 - hap, 0.0), 1.0))
+    achieved = np.cumsum(_cell_utilities(inst, a), axis=1)[:, -1]
+    top = np.argsort(-ub, axis=1, kind="stable")[:, :k]  # ties to the lower item
+    denom = np.take_along_axis(ub, top, axis=1).sum(axis=1)
+    hap = np.ones(n)
+    ok = denom > FLOAT_ATOL
+    hap[ok] = achieved[ok] / denom[ok]
+    regret = np.clip(1.0 - hap, 0.0, 1.0).tolist()
 
     st_feasible = None
     st_violations = None

@@ -197,6 +197,30 @@ class _Tableau:
 _HIGHS_STATUS = {0: "optimal", 1: "iteration_limit", 2: "infeasible", 3: "unbounded"}
 
 
+class _FlatRows(NamedTuple):
+    """``model.rows`` as coordinate arrays, and the upper bounds as an array."""
+
+    row_of: np.ndarray  # row of each stored coefficient
+    cols: np.ndarray
+    vals: np.ndarray
+    senses: np.ndarray  # "<=", "=" or ">=" per row
+    rhs: np.ndarray
+    upper: np.ndarray  # inf where the model has no bound
+
+
+def _flat_rows(model: LpModel) -> _FlatRows:
+    rows = model.rows
+    lengths = np.array([r[0].size for r in rows], dtype=np.int64)
+    return _FlatRows(
+        np.repeat(np.arange(len(rows)), lengths),
+        np.concatenate([r[0] for r in rows] or [np.zeros(0, dtype=np.int64)]),
+        np.concatenate([r[1] for r in rows] or [np.zeros(0)]),
+        np.array([r[2] for r in rows], dtype="<U2"),
+        np.array([r[3] for r in rows], dtype=float),
+        np.array([np.inf if u is None else u for u in model.upper], dtype=float),
+    )
+
+
 class _HighsForm(NamedTuple):
     """A model as ``min c.x  s.t.  a_ub x <= b_ub,  a_eq x = b_eq,  0 <= x <= upper``."""
 
@@ -223,7 +247,8 @@ def solve_lp(model: LpModel, max_iter: int = 1_000_000) -> LpResult:
     except ImportError:
         return _solve_dense(model, max_iter)
     names = tuple(model.var_names)
-    form = _highs_form(model)
+    flat = _flat_rows(model)
+    form = _highs_form(model, flat)
     res = linprog(form.c, A_ub=form.a_ub, b_ub=form.b_ub, A_eq=form.a_eq, b_eq=form.b_eq,
                   bounds=np.column_stack([np.zeros(form.c.size), form.upper]),
                   method="highs-ds", options={"maxiter": max_iter})
@@ -233,35 +258,25 @@ def solve_lp(model: LpModel, max_iter: int = 1_000_000) -> LpResult:
     if status != "optimal":
         return LpResult(0.0, np.zeros(model.num_vars), status, names)
     x = np.asarray(res.x, dtype=float)
-    _check_residuals(model, x)
+    _check_residuals(flat, x)
     _check_certificate(form, x, res.ineqlin.marginals, res.eqlin.marginals,
                        res.upper.marginals, res.lower.marginals)
     return LpResult(float(np.asarray(model.obj, dtype=float) @ x), x, "optimal", names)
 
 
-def _highs_form(model: LpModel) -> _HighsForm:
+def _highs_form(model: LpModel, flat: _FlatRows) -> _HighsForm:
     """Builds the constraint matrix once as CSR, negates ``>=`` rows and
     splits it into its inequality and equality blocks."""
     from scipy import sparse
 
-    n = model.num_vars
-    senses = np.array([r[2] for r in model.rows], dtype="<U2")
-    flip = np.where(senses == ">=", -1.0, 1.0)
-    rhs = np.array([r[3] for r in model.rows], dtype=float) * flip
-    if model.rows:
-        lengths = np.array([r[0].size for r in model.rows])
-        row_of = np.repeat(np.arange(len(model.rows)), lengths)
-        cols = np.concatenate([r[0] for r in model.rows])
-        vals = np.concatenate([r[1] for r in model.rows]) * flip[row_of]
-    else:
-        row_of = cols = np.zeros(0, dtype=np.int64)
-        vals = np.zeros(0)
-    a = sparse.csr_array((vals, (row_of, cols)), shape=(len(model.rows), n))
-    eq = np.flatnonzero(senses == "=")
-    ub = np.flatnonzero(senses != "=")
+    flip = np.where(flat.senses == ">=", -1.0, 1.0)
+    rhs = flat.rhs * flip
+    a = sparse.csr_array((flat.vals * flip[flat.row_of], (flat.row_of, flat.cols)),
+                         shape=(flat.rhs.size, model.num_vars))
+    eq = np.flatnonzero(flat.senses == "=")
+    ub = np.flatnonzero(flat.senses != "=")
     c = np.asarray(model.obj, dtype=float)
-    upper = np.array([np.inf if u is None else u for u in model.upper], dtype=float)
-    return _HighsForm(-c if model.maximize else c, a[ub], rhs[ub], a[eq], rhs[eq], upper)
+    return _HighsForm(-c if model.maximize else c, a[ub], rhs[ub], a[eq], rhs[eq], flat.upper)
 
 
 def _check_certificate(form: _HighsForm, x: np.ndarray, y_ub: np.ndarray,
@@ -300,18 +315,13 @@ def _solve_dense(model: LpModel, max_iter: int) -> LpResult:
     primal feasibility residual is verified below 1e-7.
     """
     n = model.num_vars
-    rows = list(model.rows)
-    for j, ub in enumerate(model.upper):
-        if ub is not None and math.isfinite(ub):
-            rows.append((np.array([j]), np.array([1.0]), "<=", float(ub)))
-    m = len(rows)
-    A = np.zeros((m, n))
-    b = np.empty(m)
-    senses = []
-    for i, (cols, coefs, sense, rhs) in enumerate(rows):
-        A[i, cols] = coefs
-        b[i] = rhs
-        senses.append(sense)
+    flat = _flat_rows(model)
+    bounded = np.flatnonzero(np.isfinite(flat.upper))  # finite upper bounds become rows
+    A = np.zeros((flat.rhs.size + bounded.size, n))
+    A[flat.row_of, flat.cols] = flat.vals
+    A[flat.rhs.size + np.arange(bounded.size), bounded] = 1.0
+    b = np.concatenate([flat.rhs, flat.upper[bounded]])
+    senses = flat.senses.tolist() + ["<="] * bounded.size
     c = np.asarray(model.obj, dtype=float)
     if not model.maximize:
         c = -c
@@ -363,24 +373,17 @@ def _solve_dense(model: LpModel, max_iter: int) -> LpResult:
     if not model.maximize:
         obj = -obj
 
-    _check_residuals(model, x)
+    _check_residuals(flat, x)
     return LpResult(obj, x, "optimal", tuple(model.var_names))
 
 
-def _check_residuals(model: LpModel, x: np.ndarray) -> None:
-    worst = 0.0
-    for cols, coefs, sense, rhs in model.rows:
-        lhs = float(coefs @ x[cols])
-        if sense == "<=":
-            worst = max(worst, lhs - rhs)
-        elif sense == ">=":
-            worst = max(worst, rhs - lhs)
-        else:
-            worst = max(worst, abs(lhs - rhs))
-    worst = max(worst, float(-x.min(initial=0.0)))
-    for j, ub in enumerate(model.upper):
-        if ub is not None:
-            worst = max(worst, float(x[j]) - ub)
+def _check_residuals(flat: _FlatRows, x: np.ndarray) -> None:
+    lhs = np.bincount(flat.row_of, weights=flat.vals * x[flat.cols], minlength=flat.rhs.size)
+    excess = lhs - flat.rhs
+    violation = np.where(flat.senses == "<=", excess,
+                         np.where(flat.senses == ">=", -excess, np.abs(excess)))
+    worst = max(0.0, float(violation.max(initial=0.0)), float(-x.min(initial=0.0)),
+                float((x - flat.upper).max(initial=0.0)))
     if worst > FEAS_TOL:
         raise ArithmeticError(f"simplex returned an infeasible point (residual {worst:.3g})")
 
@@ -417,8 +420,7 @@ def build_full_lp(inst: Instance) -> LpModel:
         for c in range(inst.m):
             for s in range(inst.k):
                 mdl.add_var(f"y_{e}_{c}_{s}", binary=True)
-    for e in range(inst.num_edges):
-        w = inst.edge_weight(e)
+    for e, w in enumerate(inst.w):
         for c in range(inst.m):
             mdl.add_var(f"ye_{e}_{c}", obj=float(w[c]), binary=True)
     idx = mdl.var_index
@@ -439,12 +441,12 @@ def build_full_lp(inst: Instance) -> LpModel:
         for c in range(inst.m):
             cols = [idx[f"ye_{e}_{c}"]] + [idx[f"y_{e}_{c}_{s}"] for s in range(inst.k)]
             mdl.add_row(cols, [1.0] + [-1.0] * inst.k, "=", 0.0)
-    for e, edge in enumerate(inst.edges):
+    for e, (u, v) in enumerate(zip(inst.eu.tolist(), inst.ev.tolist())):
         for c in range(inst.m):
             for s in range(inst.k):
                 yj = idx[f"y_{e}_{c}_{s}"]
-                mdl.add_row([yj, idx[_xname(edge.u, c, s)]], [1.0, -1.0], "<=", 0.0)
-                mdl.add_row([yj, idx[_xname(edge.v, c, s)]], [1.0, -1.0], "<=", 0.0)
+                mdl.add_row([yj, idx[_xname(u, c, s)]], [1.0, -1.0], "<=", 0.0)
+                mdl.add_row([yj, idx[_xname(v, c, s)]], [1.0, -1.0], "<=", 0.0)
     return mdl
 
 
@@ -454,19 +456,18 @@ def build_simplified_lp(inst: Instance) -> LpModel:
     for u in range(inst.n):
         for c in range(inst.m):
             mdl.add_var(_xuname(u, c), obj=float(inst.pref[u, c]), upper=1.0, binary=True)
-    for e in range(inst.num_edges):
-        w = inst.edge_weight(e)
+    for e, w in enumerate(inst.w):
         for c in range(inst.m):
             mdl.add_var(f"ye_{e}_{c}", obj=float(w[c]), binary=True)
     idx = mdl.var_index
     for u in range(inst.n):
         cols = [idx[_xuname(u, c)] for c in range(inst.m)]
         mdl.add_row(cols, np.ones(inst.m), "=", float(inst.k))
-    for e, edge in enumerate(inst.edges):
+    for e, (u, v) in enumerate(zip(inst.eu.tolist(), inst.ev.tolist())):
         for c in range(inst.m):
             yj = idx[f"ye_{e}_{c}"]
-            mdl.add_row([yj, idx[_xuname(edge.u, c)]], [1.0, -1.0], "<=", 0.0)
-            mdl.add_row([yj, idx[_xuname(edge.v, c)]], [1.0, -1.0], "<=", 0.0)
+            mdl.add_row([yj, idx[_xuname(u, c)]], [1.0, -1.0], "<=", 0.0)
+            mdl.add_row([yj, idx[_xuname(v, c)]], [1.0, -1.0], "<=", 0.0)
     return mdl
 
 
@@ -484,20 +485,18 @@ def build_st_lp(inst: Instance) -> LpModel:
     mdl = build_full_lp(inst)
     mdl.meta["kind"] = "st"
     idx = mdl.var_index
-    for e in range(inst.num_edges):
-        w = inst.edge_weight(e)
+    for e, w in enumerate(inst.w):
         for c in range(inst.m):
             mdl.obj[idx[f"ye_{e}_{c}"]] = float((1.0 - d) * w[c])
-    for e in range(inst.num_edges):
-        w = inst.edge_weight(e)
+    for e, w in enumerate(inst.w):
         for c in range(inst.m):
             mdl.add_var(f"z_{e}_{c}", obj=float(d * w[c]), binary=True)
     idx = mdl.var_index
-    for e, edge in enumerate(inst.edges):
+    for e, (u, v) in enumerate(zip(inst.eu.tolist(), inst.ev.tolist())):
         for c in range(inst.m):
             zj = idx[f"z_{e}_{c}"]
-            mdl.add_row([zj, idx[_xuname(edge.u, c)]], [1.0, -1.0], "<=", 0.0)
-            mdl.add_row([zj, idx[_xuname(edge.v, c)]], [1.0, -1.0], "<=", 0.0)
+            mdl.add_row([zj, idx[_xuname(u, c)]], [1.0, -1.0], "<=", 0.0)
+            mdl.add_row([zj, idx[_xuname(v, c)]], [1.0, -1.0], "<=", 0.0)
     for c in range(inst.m):
         for s in range(inst.k):
             cols = [idx[_xname(u, c, s)] for u in range(inst.n)]

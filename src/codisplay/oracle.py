@@ -39,8 +39,7 @@ def _edge_matrices(inst: Instance, arr: np.ndarray, d_tel: float | None) -> list
     """
     mats = []
     p = arr.shape[0]
-    for e in inst.edges:
-        w = e.weight()
+    for w in inst.w:
         mat = np.zeros((p, p))
         for s in range(inst.k):
             col = arr[:, s]
@@ -71,10 +70,8 @@ def _search(inst: Instance, arr: np.ndarray, pref_scores: np.ndarray,
     n, k = inst.n, inst.k
     p = arr.shape[0]
     edges_into = [[] for _ in range(n)]  # (earlier_user, matrix) per user
-    for ei, e in enumerate(inst.edges):
-        lo, hi = min(e.u, e.v), max(e.u, e.v)
-        mat = mats[ei] if e.u == lo else mats[ei].T
-        edges_into[hi].append((lo, mat))
+    for u, v, mat in zip(inst.eu.tolist(), inst.ev.tolist(), mats):
+        edges_into[max(u, v)].append((min(u, v), mat if u < v else mat.T))
 
     best_val = -np.inf
     best_choice: list[int] = []

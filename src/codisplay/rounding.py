@@ -17,7 +17,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import Configuration, DomainError, Instance, optimistic_utility, total_objective
+from .core import (Configuration, DomainError, Instance, optimistic_utility, running_sum,
+                   total_objective)
 from .lp import FractionalSolution
 
 EXACT_SUBSET_LIMIT = 12
@@ -290,11 +291,13 @@ def _best_prefix(order: np.ndarray, a: np.ndarray, adj: list[list[tuple[int, flo
 
 
 def _best_subset(a: np.ndarray, pairs: list[tuple[int, int, float]],
+                 adj: Optional[list[list[tuple[int, float]]]],
                  capacity: Optional[int]) -> tuple[float, np.ndarray]:
     """Maximize sum(a[S]) + sum of pair bonuses inside S over nonempty S.
 
     Exact by enumeration up to EXACT_SUBSET_LIMIT users; beyond that, seeded
-    from the best descending-score prefix and improved by single-user moves.
+    from the best descending-score prefix and improved by single-user moves
+    over `adj`, the `_adjacency` of the pairs (unused below the limit).
     All pair bonuses are nonnegative, so the exact problem is supermodular;
     the local search is a documented approximation for large eligible sets.
     """
@@ -310,7 +313,6 @@ def _best_subset(a: np.ndarray, pairs: list[tuple[int, int, float]],
         best = int(np.argmax(scores))
         return float(scores[best]), np.flatnonzero(bits[best])
 
-    adj = _adjacency(q, pairs)
     score, in_set = _best_prefix(np.argsort(-a, kind="stable"), a, adj, capacity)
     for _ in range(4 * q):  # strict improvement, terminates
         moved = False
@@ -348,9 +350,8 @@ def avgd(inst: Instance, frac: FractionalSolution, r: float = 0.25,
         raise DomainError("balancing ratio must be nonnegative")
     state = RoundingState(inst, frac, cap=cap)
     n, m, k = inst.n, inst.m, inst.k
-    pref = inst.pref
-    edges = inst.edges
-    weights = [e.weight() for e in edges]
+    pref, eu, ev, w = inst.pref, inst.eu, inst.ev, inst.w
+    ends = np.column_stack([eu, ev]).ravel()  # (u, v) of each edge in turn
     it = 0
     while state.unfilled:
         _fallback_fill(state)
@@ -359,19 +360,13 @@ def avgd(inst: Instance, frac: FractionalSolution, r: float = 0.25,
         xt = state.x
         empty = state.assign < 0  # (n, k)
         lpref = np.einsum("uc,ucs->us", pref, xt)  # value of each open cell
-        q_es = np.empty((len(edges), k))
-        for ei, e in enumerate(edges):
-            q_es[ei] = (weights[ei][:, None] * np.minimum(xt[e.u], xt[e.v])).sum(axis=0)
-        both_open = np.array([empty[e.u] & empty[e.v] for e in edges]) \
-            if edges else np.zeros((0, k), dtype=bool)
+        q_es = (w[:, :, None] * np.minimum(xt[eu], xt[ev])).sum(axis=1)  # (E, k)
+        both_open = empty[eu] & empty[ev]
         opt_cur = float(lpref[empty].sum()) + float(q_es[both_open].sum())
         # linear loss of closing a cell: its own value plus pair terms shared
-        # with still-open same-slot partners
+        # with still-open same-slot partners, added edge by edge
         loss = np.where(empty, lpref, 0.0)
-        for ei, e in enumerate(edges):
-            shared = both_open[ei] * q_es[ei]
-            loss[e.u] += shared
-            loss[e.v] += shared
+        np.add.at(loss, ends, np.repeat(both_open * q_es, 2, axis=0))
 
         best = None  # (score, c, s, users)
         for c in range(m):
@@ -387,22 +382,20 @@ def avgd(inst: Instance, frac: FractionalSolution, r: float = 0.25,
                     capacity = state.cap - int(state.counts[c, s])
                     if capacity <= 0:
                         continue
-                pos = {int(u): i for i, u in enumerate(elig)}
+                q = elig.size
                 a_lin = pref[elig, c] - r * loss[elig, s]
-                pairs = []
-                for ei, e in enumerate(edges):
-                    if e.u in pos and e.v in pos:
-                        w_c = float(weights[ei][c])
-                        pairs.append((pos[e.u], pos[e.v], w_c + r * float(q_es[ei, s])))
-                score, local = _best_subset(a_lin, pairs, capacity)
-                if elig.size > EXACT_SUBSET_LIMIT:
+                inner = inst.edges_within(elig)
+                pairs = list(zip(np.searchsorted(elig, eu[inner]).tolist(),
+                                 np.searchsorted(elig, ev[inner]).tolist(),
+                                 (w[inner, c] + r * q_es[inner, s]).tolist()))
+                adj = _adjacency(q, pairs) if q > EXACT_SUBSET_LIMIT else None
+                score, local = _best_subset(a_lin, pairs, adj, capacity)
+                if adj is not None:
                     # the (factor desc, index asc) prefixes include every
                     # threshold target set and its capped truncation, so
                     # dominating them keeps the worst-case guarantee
-                    q = elig.size
                     t_score, t_mask = _best_prefix(
-                        np.lexsort((np.arange(q), -xt[elig, c, s])), a_lin,
-                        _adjacency(q, pairs), capacity)
+                        np.lexsort((np.arange(q), -xt[elig, c, s])), a_lin, adj, capacity)
                     if t_score > score + _TIE_EPS:
                         score, local = t_score, np.flatnonzero(t_mask)
                 if best is None or score > best[0] + _TIE_EPS:
@@ -413,15 +406,9 @@ def avgd(inst: Instance, frac: FractionalSolution, r: float = 0.25,
             continue
         score, c, s, users = best
         if trace is not None:
-            in_s = set(int(u) for u in users)
-            alg = float(pref[users, c].sum()) + sum(
-                float(weights[ei][c]) for ei, e in enumerate(edges)
-                if e.u in in_s and e.v in in_s
-            )
-            lost = float(loss[users, s].sum()) - sum(
-                float(q_es[ei, s]) for ei, e in enumerate(edges)
-                if e.u in in_s and e.v in in_s
-            )
+            inner = inst.edges_within(users)
+            alg = float(pref[users, c].sum()) + running_sum(w[inner, c])
+            lost = float(loss[users, s].sum()) - running_sum(q_es[inner, s])
             opt_fut = opt_cur - lost
             trace.append({
                 "iteration": it,

@@ -235,6 +235,15 @@ class TestCompare:
                     "--seeds", "0,1", "--out", str(tmp_path / "c.csv")]) == 0
         assert len(parsed) == 1  # the instance file only, no round trip per cell
 
+    def test_feasible_cell_scored_once(self, fixture_files, tmp_path, monkeypatch):
+        calls = []
+        real = core.objective_parts
+        monkeypatch.setattr(core, "objective_parts",
+                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        assert run(["compare", "--in", fixture_files["inst"], "--algos", "per,group,avgd",
+                    "--seeds", "0,1", "--out", str(tmp_path / "c.csv")]) == 0
+        assert len(calls) == 6  # one per cell, all feasible
+
     def test_each_relaxation_solved_once(self, fixture_files, tmp_path, monkeypatch):
         tele = tmp_path / "tele.json"
         core.dump_json(core.instance_to_dict(

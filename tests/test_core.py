@@ -1,6 +1,8 @@
 """Model, objective, and metrics tests."""
 
+import inspect
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -85,6 +87,31 @@ class TestInstanceInvariants:
         assert inst.pref[0, 0] == 1.0 and inst.edges[0].tau_uv[0] == 0.1
         assert cfg.assign[0, 0] == 0
         assert not inst.pref.flags.writeable and not cfg.assign.flags.writeable
+
+    def test_edge_index_read_only_and_derived(self):
+        inst = cd.gen_random(6, 4, 2, edge_prob=0.6, seed=2)
+        params = inspect.signature(cd.Instance).parameters
+        for name in ("eu", "ev", "tau", "w"):
+            assert name not in params
+            assert not getattr(inst, name).flags.writeable
+        with pytest.raises(TypeError):
+            cd.Instance(n=1, m=1, k=1, pref=np.zeros((1, 1)), edges=(), lam=0.5,
+                        w=np.zeros((0, 1)))
+        for e, edge in enumerate(inst.edges):
+            assert (inst.eu[e], inst.ev[e]) == (edge.u, edge.v)
+            assert np.array_equal(inst.tau[e], [edge.tau_uv, edge.tau_vu])
+            assert np.array_equal(inst.w[e], edge.weight())
+
+    def test_edgeless_index_shapes(self):
+        inst = cd.gen_gap_g(3, 2)
+        assert inst.eu.shape == inst.ev.shape == (0,)
+        assert inst.tau.shape == (0, 2, inst.m) and inst.w.shape == (0, inst.m)
+
+    def test_pickle_round_trip_stays_frozen(self):
+        inst = pickle.loads(pickle.dumps(cd.gen_random(4, 5, 2, seed=1, d_tel=0.5)))
+        for arr in (inst.pref, inst.edges[0].tau_uv, inst.eu, inst.w):
+            assert not arr.flags.writeable
+        assert inst.st == cd.StParams(d_tel=0.5, M=4)
 
 
 class TestValidate:
@@ -389,3 +416,141 @@ class TestJsonRoundTrip:
     def test_config_missing_assign_structural(self):
         with pytest.raises(StructuralError):
             cd.core.config_from_dict({"assignment": [[0]]})
+
+
+# ---------------------------------------------------------------------------
+# array code against per-edge loops written from the definitions
+# ---------------------------------------------------------------------------
+
+
+def _isolated_users():
+    base = cd.gen_random(20, 6, 2, edge_prob=0.5, seed=7)
+    edges = tuple(e for e in base.edges if e.u < 8 and e.v < 8)
+    return cd.Instance(n=20, m=6, k=2, pref=base.pref, edges=edges, lam=0.4)
+
+
+REFERENCE_INSTANCES = {
+    "n16": lambda: cd.gen_random(16, 8, 3, edge_prob=0.3, seed=1),
+    "n30": lambda: cd.gen_random(30, 10, 4, edge_prob=0.2, seed=2),
+    "n60": lambda: cd.gen_random(60, 12, 4, edge_prob=0.1, seed=3),
+    "k8": lambda: cd.gen_random(16, 10, 8, edge_prob=0.3, seed=6),
+    # few edges, so that how one edge's slot terms are grouped shows in the total
+    "k9-clique": lambda: cd.gen_random(4, 12, 9, edge_prob=1.0, seed=4),
+    "tel-n20": lambda: cd.gen_random(20, 8, 3, edge_prob=0.3, seed=4, d_tel=0.5, m_cap=5),
+    "tel-n40": lambda: cd.gen_random(40, 10, 4, edge_prob=0.15, seed=5, d_tel=0.25),
+    "edgeless": lambda: cd.gen_gap_g(5, 2),
+    "single": lambda: cd.Instance(n=1, m=4, k=2, pref=np.array([[0.3, 0.9, 0.1, 0.5]]),
+                                  edges=(), lam=0.5),
+    "isolated": _isolated_users,
+}
+
+
+def _reference_configs(inst):
+    """Top-k baselines, random configurations, and the group row with two
+    slots swapped per user, so that friends share some slots but not all."""
+    rng = np.random.Generator(np.random.Philox(inst.n))
+    swapped = np.tile(cd.group_topk(inst).assign[0], (inst.n, 1))
+    for row in swapped:
+        i, j = rng.choice(inst.k, size=2, replace=False)
+        row[[i, j]] = row[[j, i]]
+    return ([cd.per_topk(inst), cd.group_topk(inst), cd.Configuration(assign=swapped)]
+            + [random_config(inst, rng) for _ in range(3)])
+
+
+def ref_parts(inst, a, d_tel):
+    pref_sum = float(inst.pref[np.arange(inst.n)[:, None], a].sum())
+    social = 0.0
+    for e in inst.edges:
+        row_u, row_v = a[e.u], a[e.v]
+        same = row_u == row_v
+        social += float(e.weight()[row_u[same]].sum())
+        off = np.isin(row_u, row_v) & ~same
+        social += d_tel * float(e.weight()[row_u[off]].sum())
+    return pref_sum, social
+
+
+def ref_savg(inst, a, u, s):
+    c = a[u, s]
+    total = (1.0 - inst.lam) * float(inst.pref[u, c])
+    for e in inst.edges:
+        if e.u == u and a[e.v, s] == c:
+            total += inst.lam * float(e.tau_uv[c])
+        elif e.v == u and a[e.u, s] == c:
+            total += inst.lam * float(e.tau_vu[c])
+    return total
+
+
+def ref_optimistic(inst):
+    ub = (1.0 - inst.lam) * inst.pref.copy()
+    for e in inst.edges:
+        ub[e.u] += inst.lam * e.tau_uv
+        ub[e.v] += inst.lam * e.tau_vu
+    return ub
+
+
+def ref_metrics(inst, cfg):
+    a, n, k, ne = cfg.assign, inst.n, inst.k, inst.num_edges
+    d_tel = inst.st.d_tel if inst.st is not None else 0.0
+    pref_sum, social = ref_parts(inst, a, d_tel)
+    canonical = (1.0 - inst.lam) * pref_sum + inst.lam * social
+    out = {"objective_canonical": canonical, "objective_unit_sum": pref_sum + social,
+           "personal_pct": 0.0, "social_pct": 0.0, "intra_pct": 0.0, "inter_pct": 0.0,
+           "normalized_density": 0.0, "codisplay_pct": 0.0}
+    if canonical > cd.core.FLOAT_ATOL:
+        out["personal_pct"] = 100.0 * ((1.0 - inst.lam) * pref_sum) / canonical
+        out["social_pct"] = 100.0 * (inst.lam * social) / canonical
+    if ne:
+        intra = [sum(1 for e in inst.edges if a[e.u, s] == a[e.v, s]) / ne for s in range(k)]
+        out["intra_pct"] = 100.0 * float(np.mean(intra))
+        out["inter_pct"] = 100.0 * (1.0 - float(np.mean(intra)))
+        out["codisplay_pct"] = 100.0 * sum(1 for e in inst.edges if (a[e.u] == a[e.v]).any()) / ne
+    if n >= 2 and ne:
+        adj = {(min(e.u, e.v), max(e.u, e.v)) for e in inst.edges}
+        densities = []
+        for s in range(k):
+            for _, members in cd.partition_subgroups(cfg, s).groups:
+                sz = len(members)
+                internal = sum(1 for i in members for j in members if i < j and (i, j) in adj)
+                densities.append(internal / (sz * (sz - 1) / 2) if sz >= 2 else 0.0)
+        out["normalized_density"] = float(np.mean(densities)) / (ne / (n * (n - 1) / 2))
+    alone = sum(1 for u in range(n) if all((a[:, s] == a[u, s]).sum() == 1 for s in range(k)))
+    out["alone_pct"] = 100.0 * alone / n
+    ub = ref_optimistic(inst)
+    regret = []
+    for u in range(n):
+        achieved = 0.0
+        for s in range(k):
+            achieved += ref_savg(inst, a, u, s)
+        top = sorted(range(inst.m), key=lambda c: (-ub[u, c], c))[:k]
+        denom = float(ub[u, top].sum())
+        hap = achieved / denom if denom > cd.core.FLOAT_ATOL else 1.0
+        regret.append(min(max(1.0 - hap, 0.0), 1.0))
+    out["regret"] = regret
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_INSTANCES))
+class TestArraysMatchEdgeLoops:
+    """Outputs equal, bit for bit, loops over ``inst.edges`` that add in the
+    same order (edge by edge, slot by slot)."""
+
+    def test_objective_parts(self, name):
+        inst = REFERENCE_INSTANCES[name]()
+        for cfg in _reference_configs(inst):
+            for d_tel in (0.0, 0.5):
+                assert objective_parts(inst, cfg.assign, d_tel) == ref_parts(inst, cfg.assign, d_tel)
+
+    def test_optimistic_and_savg_utility(self, name):
+        inst = REFERENCE_INSTANCES[name]()
+        assert np.array_equal(cd.core.optimistic_utility(inst), ref_optimistic(inst))
+        for cfg in _reference_configs(inst):
+            for u in range(inst.n):
+                for s, c in enumerate(cfg.assign[u]):
+                    assert cd.savg_utility(inst, cfg, u, int(c)) == ref_savg(inst, cfg.assign, u, s)
+
+    def test_metrics(self, name):
+        inst = REFERENCE_INSTANCES[name]()
+        for cfg in _reference_configs(inst):
+            rep = cd.metrics(inst, cfg).to_dict()
+            for field, value in ref_metrics(inst, cfg).items():
+                assert rep[field] == value, field

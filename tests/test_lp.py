@@ -234,11 +234,16 @@ class TestCertificate:
     def numerical_failure(res):
         res.status, res.message = 4, "numerical difficulties"
 
+    @staticmethod
+    def perturb_primal(res):
+        res.x[0] += 0.5
+
     @pytest.mark.parametrize("tamper, message", [
         ("shift_bound_duals", "duality gap"),
         ("flip_duals", "wrong sign"),
         ("halve_duals", "not stationary"),
         ("numerical_failure", "numerical difficulties"),
+        ("perturb_primal", "infeasible point"),
     ])
     def test_tampered_result_rejected(self, example, monkeypatch, tamper, message):
         real = scipy.optimize.linprog

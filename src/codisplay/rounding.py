@@ -146,14 +146,18 @@ def _lock(state: RoundingState, c: int, s: int) -> None:
     state.locked[c, s] = True
 
 
-def _fallback_fill(state: RoundingState) -> None:
+def _fallback_fill(state: RoundingState) -> int:
     """Assign starved cells (no positive factor left) by optimistic utility.
 
     Only reachable after size-cap zeroing, or with degenerate fractional
-    input; counted in diagnostics.
+    input; counted in diagnostics.  Returns the number of cells assigned.
     """
     inst = state.inst
+    open_max = np.where(state.held[:, :, None], 0.0, state.x).max(axis=1)  # (n, k)
+    if not ((state.assign < 0) & ~(open_max > 0.0)).any():
+        return 0  # nothing starved, so the loop below would assign nothing
     ub = optimistic_utility(inst)
+    unfilled = state.unfilled
     for u in range(inst.n):
         for s in range(inst.k):
             if state.assign[u, s] >= 0:
@@ -174,6 +178,7 @@ def _fallback_fill(state: RoundingState) -> None:
             state.diagnostics["fallback_cells"] += 1
             if state.cap is not None and state.counts[int(best), s] >= state.cap:
                 _lock(state, int(best), s)
+    return unfilled - state.unfilled
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -314,23 +319,60 @@ def _best_subset(a: np.ndarray, pairs: list[tuple[int, int, float]],
         return float(scores[best]), np.flatnonzero(bits[best])
 
     score, in_set = _best_prefix(np.argsort(-a, kind="stable"), a, adj, capacity)
+    size = int(in_set.sum())
     for _ in range(4 * q):  # strict improvement, terminates
         moved = False
         for u in range(q):
             delta = a[u] + sum(b for v, b in adj[u] if in_set[v])
             if in_set[u]:
-                if in_set.sum() > 1 and -delta > _TIE_EPS:
+                if size > 1 and -delta > _TIE_EPS:
                     in_set[u] = False
+                    size -= 1
                     score -= delta
                     moved = True
             else:
-                if (capacity is None or in_set.sum() < capacity) and delta > _TIE_EPS:
+                if (capacity is None or size < capacity) and delta > _TIE_EPS:
                     in_set[u] = True
+                    size += 1
                     score += delta
                     moved = True
         if not moved:
             break
     return float(score), np.flatnonzero(in_set)
+
+
+def _score_cell(state: RoundingState, c: int, s: int, r: float, loss: np.ndarray,
+                q_es: np.ndarray) -> Optional[tuple[float, np.ndarray]]:
+    """avgd's best subgroup of cell (c, s) as (score, users); None when the
+    cell is locked, full or has nobody eligible."""
+    if state.locked[c, s]:
+        return None
+    elig = state.eligible_users(c, s)
+    if elig.size == 0:
+        return None
+    capacity = None
+    if state.cap is not None:
+        capacity = state.cap - int(state.counts[c, s])
+        if capacity <= 0:
+            return None
+    inst = state.inst
+    q = elig.size
+    a_lin = inst.pref[elig, c] - r * loss[elig, s]
+    inner = inst.edges_within(elig)
+    pairs = list(zip(np.searchsorted(elig, inst.eu[inner]).tolist(),
+                     np.searchsorted(elig, inst.ev[inner]).tolist(),
+                     (inst.w[inner, c] + r * q_es[inner, s]).tolist()))
+    adj = _adjacency(q, pairs) if q > EXACT_SUBSET_LIMIT else None
+    score, local = _best_subset(a_lin, pairs, adj, capacity)
+    if adj is not None:
+        # the (factor desc, index asc) prefixes include every threshold
+        # target set and its capped truncation, so dominating them keeps
+        # the worst-case guarantee
+        t_score, t_mask = _best_prefix(
+            np.lexsort((np.arange(q), -state.x[elig, c, s])), a_lin, adj, capacity)
+        if t_score > score + _TIE_EPS:
+            score, local = t_score, np.flatnonzero(t_mask)
+    return score, elig[local]
 
 
 def avgd(inst: Instance, frac: FractionalSolution, r: float = 0.25,
@@ -345,16 +387,27 @@ def avgd(inst: Instance, frac: FractionalSolution, r: float = 0.25,
     _best_subset); ties break to the lowest item, then slot, then the
     enumeration order of subsets.  With r = 1/4 the output is worst-case
     4-approximate.
+
+    Cell results are cached across iterations.  A step at (c, s) changes
+    only the empty cells of slot s, the users holding item c and, when it
+    locks, the factors x[:, c, s]; a cell (c', s') with c' != c and s' != s
+    therefore keeps its eligible set, linear scores, pair bonuses, capacity
+    and factor order, hence its exact (score, users).  So only the m + k - 1
+    cells of row c and column s are rescored, and a fallback assignment,
+    which may touch any cell, rescores all of them.
     """
-    if r < 0:
-        raise DomainError("balancing ratio must be nonnegative")
+    if not (np.isfinite(r) and r >= 0):
+        raise DomainError(f"balancing ratio must be finite and nonnegative, got {r}")
     state = RoundingState(inst, frac, cap=cap)
-    n, m, k = inst.n, inst.m, inst.k
+    m, k = inst.m, inst.k
     pref, eu, ev, w = inst.pref, inst.eu, inst.ev, inst.w
     ends = np.column_stack([eu, ev]).ravel()  # (u, v) of each edge in turn
+    cells: list[list] = [[None] * k for _ in range(m)]  # _score_cell per (c, s)
+    fresh = np.zeros((m, k), dtype=bool)  # cells[c][s] is current
     it = 0
     while state.unfilled:
-        _fallback_fill(state)
+        if _fallback_fill(state):
+            fresh[:] = False
         if not state.unfilled:
             break
         xt = state.x
@@ -370,39 +423,17 @@ def avgd(inst: Instance, frac: FractionalSolution, r: float = 0.25,
 
         best = None  # (score, c, s, users)
         for c in range(m):
-            held_c = state.held[:, c]
             for s in range(k):
-                if state.locked[c, s]:
-                    continue
-                elig = np.flatnonzero(empty[:, s] & ~held_c)
-                if elig.size == 0:
-                    continue
-                capacity = None
-                if state.cap is not None:
-                    capacity = state.cap - int(state.counts[c, s])
-                    if capacity <= 0:
-                        continue
-                q = elig.size
-                a_lin = pref[elig, c] - r * loss[elig, s]
-                inner = inst.edges_within(elig)
-                pairs = list(zip(np.searchsorted(elig, eu[inner]).tolist(),
-                                 np.searchsorted(elig, ev[inner]).tolist(),
-                                 (w[inner, c] + r * q_es[inner, s]).tolist()))
-                adj = _adjacency(q, pairs) if q > EXACT_SUBSET_LIMIT else None
-                score, local = _best_subset(a_lin, pairs, adj, capacity)
-                if adj is not None:
-                    # the (factor desc, index asc) prefixes include every
-                    # threshold target set and its capped truncation, so
-                    # dominating them keeps the worst-case guarantee
-                    t_score, t_mask = _best_prefix(
-                        np.lexsort((np.arange(q), -xt[elig, c, s])), a_lin, adj, capacity)
-                    if t_score > score + _TIE_EPS:
-                        score, local = t_score, np.flatnonzero(t_mask)
-                if best is None or score > best[0] + _TIE_EPS:
-                    users = elig[local]
-                    best = (score, c, s, users)
+                if not fresh[c, s]:
+                    cells[c][s] = _score_cell(state, c, s, r, loss, q_es)
+                    fresh[c, s] = True
+                cell = cells[c][s]
+                if cell is not None and (best is None or cell[0] > best[0] + _TIE_EPS):
+                    best = (cell[0], c, s, cell[1])
         if best is None:
-            _fallback_fill(state)
+            if not _fallback_fill(state):
+                raise DomainError("avgd found no cell to assign")
+            fresh[:] = False
             continue
         score, c, s, users = best
         if trace is not None:
@@ -423,6 +454,8 @@ def avgd(inst: Instance, frac: FractionalSolution, r: float = 0.25,
         state.assign_users([int(u) for u in users], int(c), int(s))
         if state.cap is not None and state.counts[c, s] >= state.cap:
             _lock(state, int(c), int(s))
+        fresh[c, :] = False
+        fresh[:, s] = False
         state.diagnostics["iterations"] += 1
         it += 1
     return state.to_configuration()

@@ -342,6 +342,12 @@ class TestBadInput:
         self.assert_clean_error(run(["solve", "--algo", "avgd", "--in", fixture_files["inst"],
                                      "--frac", str(bad)]), capsys)
 
+    @pytest.mark.parametrize("r", ["inf", "nan"])
+    def test_non_finite_balancing_ratio(self, fixture_files, capsys, r):
+        self.assert_clean_error(run(["solve", "--algo", "avgd", "--r", r,
+                                     "--in", fixture_files["inst"],
+                                     "--frac", fixture_files["frac"]]), capsys)
+
     def test_sequence_entry_without_alpha(self, fixture_files, tmp_path, capsys):
         bad = tmp_path / "seq.json"
         core.dump_json([{"c": 0, "s": 0}], bad)

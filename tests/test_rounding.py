@@ -6,7 +6,7 @@ import pytest
 import codisplay as cd
 from codisplay import lp as lpm
 from codisplay import rounding
-from codisplay.core import DomainError
+from codisplay.core import DomainError, running_sum
 from codisplay.rounding import FocalParams, RoundingState
 
 from conftest import (
@@ -246,6 +246,11 @@ class TestAvgd:
         with pytest.raises(DomainError):
             cd.avgd(example, example_frac, r=-0.1)
 
+    @pytest.mark.parametrize("r", [float("inf"), float("nan")])
+    def test_non_finite_r_rejected(self, example, example_frac, r):
+        with pytest.raises(DomainError, match="finite"):
+            cd.avgd(example, example_frac, r=r)
+
     def test_subgroup_size_spectrum_in_r(self):
         # small r behaves like the whole-group display, large r like the
         # personalized one; sizes shrink monotonically along the grid
@@ -367,6 +372,153 @@ class TestLargeEligibleSets:
                     cfg = cd.avg(inst, frac, rng_seed=seed, sampler=sampler)
                     assert cd.validate(cfg, inst) == []
                     assert cd.total_objective(inst, cfg, "unit_sum") <= bound + 1e-9
+
+
+def _avgd_full_rescore(inst, frac, r, trace, cap=None):
+    """Reference avgd that rescores every (item, slot) on every step (the
+    solver before its cell cache); same tie rule and trace records."""
+    state = RoundingState(inst, frac, cap=cap)
+    pref, eu, ev, w = inst.pref, inst.eu, inst.ev, inst.w
+    ends = np.column_stack([eu, ev]).ravel()
+    it = 0
+    while state.unfilled:
+        rounding._fallback_fill(state)
+        if not state.unfilled:
+            break
+        xt = state.x
+        empty = state.assign < 0
+        lpref = np.einsum("uc,ucs->us", pref, xt)
+        q_es = (w[:, :, None] * np.minimum(xt[eu], xt[ev])).sum(axis=1)
+        both_open = empty[eu] & empty[ev]
+        opt_cur = float(lpref[empty].sum()) + float(q_es[both_open].sum())
+        loss = np.where(empty, lpref, 0.0)
+        np.add.at(loss, ends, np.repeat(both_open * q_es, 2, axis=0))
+        best = None
+        for c in range(inst.m):
+            for s in range(inst.k):
+                if state.locked[c, s]:
+                    continue
+                elig = np.flatnonzero(empty[:, s] & ~state.held[:, c])
+                if elig.size == 0:
+                    continue
+                capacity = None
+                if cap is not None:
+                    capacity = cap - int(state.counts[c, s])
+                    if capacity <= 0:
+                        continue
+                q = elig.size
+                a_lin = pref[elig, c] - r * loss[elig, s]
+                inner = inst.edges_within(elig)
+                pairs = list(zip(np.searchsorted(elig, eu[inner]).tolist(),
+                                 np.searchsorted(elig, ev[inner]).tolist(),
+                                 (w[inner, c] + r * q_es[inner, s]).tolist()))
+                adj = rounding._adjacency(q, pairs) if q > rounding.EXACT_SUBSET_LIMIT else None
+                score, local = rounding._best_subset(a_lin, pairs, adj, capacity)
+                if adj is not None:
+                    t_score, t_mask = rounding._best_prefix(
+                        np.lexsort((np.arange(q), -xt[elig, c, s])), a_lin, adj, capacity)
+                    if t_score > score + rounding._TIE_EPS:
+                        score, local = t_score, np.flatnonzero(t_mask)
+                if best is None or score > best[0] + rounding._TIE_EPS:
+                    best = (score, c, s, elig[local])
+        if best is None:
+            rounding._fallback_fill(state)
+            continue
+        _, c, s, users = best
+        inner = inst.edges_within(users)
+        alg = float(pref[users, c].sum()) + running_sum(w[inner, c])
+        lost = float(loss[users, s].sum()) - running_sum(q_es[inner, s])
+        opt_fut = opt_cur - lost
+        trace.append({"iteration": it, "c": int(c), "s": int(s),
+                      "alpha": float(xt[users, c, s].min()),
+                      "users": [int(u) for u in users], "alg": alg,
+                      "opt_lp_fut": opt_fut, "f": alg + r * opt_fut})
+        state.assign_users([int(u) for u in users], int(c), int(s))
+        if cap is not None and state.counts[c, s] >= cap:
+            rounding._lock(state, int(c), int(s))
+        it += 1
+    return state.to_configuration()
+
+
+def _outcome(fn):
+    """(assignment, trace) of an avgd-style call, or the error it raised."""
+    trace = []
+    try:
+        return fn(trace).assign.tolist(), trace
+    except DomainError as exc:
+        return "error", str(exc)
+
+
+def _uniform_frac(inst):
+    """Every factor 1/m: valid for m >= k and never starved without a cap."""
+    return cd.FractionalSolution(np.full((inst.n, inst.m, inst.k), 1.0 / inst.m))
+
+
+class TestIncrementalAvgd:
+    """The cell cache of avgd against full rescoring, and what it saves."""
+
+    SHAPES = [(16, 5, 2), (24, 6, 2), (32, 6, 3), (40, 8, 3), (60, 10, 3)]
+
+    @pytest.mark.parametrize("r", [0.25, 1.0])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_matches_full_rescoring(self, shape, r):
+        n, m, k = shape
+        inst = cd.gen_random(n, m, k, edge_prob=min(0.5, 6 / n), seed=4100 + n)
+        frac, _ = lpm.solve_fractional(inst)
+        tight = -(-n // m)
+        for cap in (None, tight, 2 * tight):
+            got = _outcome(lambda tr: cd.avgd(inst, frac, r=r, trace=tr, cap=cap))
+            want = _outcome(lambda tr: _avgd_full_rescore(inst, frac, r, tr, cap))
+            assert got == want, (shape, r, cap)
+
+    @pytest.mark.parametrize("r", [0.25, 1.0])
+    @pytest.mark.parametrize("shape", SHAPES[:3])
+    def test_teleport_matches_full_rescoring(self, shape, r):
+        n, m, k = shape
+        for M in (-(-n // m), 2 * -(-n // m)):
+            inst = cd.gen_random(n, m, k, edge_prob=min(0.5, 6 / n), seed=4200 + n,
+                                 d_tel=0.5, m_cap=M)
+            frac, _ = lpm.solve_fractional(inst)
+            got = _outcome(lambda tr: cd.avg_st(inst, frac, deterministic=True, r=r))
+            want = _outcome(lambda tr: _avgd_full_rescore(inst, frac, r, [], M))
+            assert got == want, (shape, r, M)
+
+    def test_step_rescores_only_its_row_and_column(self, monkeypatch):
+        inst = cd.gen_random(16, 5, 3, edge_prob=0.4, seed=4300)
+        m, k = inst.m, inst.k
+        calls = []
+        real = rounding._best_subset
+        monkeypatch.setattr(rounding, "_best_subset",
+                            lambda *args: calls.append(1) or real(*args))
+
+        class Steps(list):
+            def append(self, step):
+                super().append((step, len(calls)))
+
+        trace = Steps()
+        cd.avgd(inst, _uniform_frac(inst), r=0.25, trace=trace)
+        assert sum(len(step["users"]) for step, _ in trace) == inst.n * k  # no fallback
+        assert len(trace) > 2
+        per_step = np.diff([seen for _, seen in trace])
+        assert per_step.max() <= m + k - 1
+
+    def test_no_starved_cell_skips_optimistic_utility(self, monkeypatch):
+        inst = cd.gen_random(16, 5, 3, edge_prob=0.4, seed=4300)
+        calls = []
+        real = rounding.optimistic_utility
+        monkeypatch.setattr(rounding, "optimistic_utility",
+                            lambda i: calls.append(1) or real(i))
+        cd.avgd(inst, _uniform_frac(inst), r=0.25)
+        assert calls == []
+        # a starved state still gets filled, through one utility table
+        state = RoundingState(inst, cd.FractionalSolution(np.zeros((inst.n, inst.m, inst.k))))
+        assert rounding._fallback_fill(state) == inst.n * inst.k
+        assert state.unfilled == 0 and calls == [1]
+
+    def test_no_open_cell_raises(self, example, example_frac):
+        # a cap of 0 leaves every cell full but none starved
+        with pytest.raises(DomainError, match="no cell to assign"):
+            cd.avgd(example, example_frac, cap=0)
 
 
 class TestSizeCappedRounding:

@@ -1,10 +1,9 @@
 """Solver library for social-aware group item-display configuration.
 
-Builds the assignment integer program, solves its linear relaxation (HiGHS
-through scipy when available, a built-in dense simplex otherwise), rounds
-fractional solutions through co-display subgroup formation (randomized and
-deterministic), and benchmarks against baseline strategies with an exact
-brute-force oracle at small scale.
+Builds the assignment integer program, solves its linear relaxation with
+HiGHS's dual simplex through scipy, rounds fractional solutions through
+co-display subgroup formation (randomized and deterministic), and benchmarks
+against baseline strategies with an exact brute-force oracle at small scale.
 """
 
 from .core import (

@@ -314,7 +314,7 @@ def cmd_export(args) -> int:
         mdl = lp.build_st_lp(work)
     else:
         raise DomainError(f"unknown model {args.model!r}")
-    text = lp.export_model(mdl, "lp_file", integrality=args.integrality == "binary")
+    text = lp.export_model(mdl, integrality=args.integrality == "binary")
     with open(args.out, "w") as fh:
         fh.write(text)
     print(f"export,{args.model},{args.integrality},vars={mdl.num_vars},rows={mdl.num_rows}")

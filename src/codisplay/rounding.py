@@ -60,13 +60,15 @@ class RoundingState:
     def __init__(self, inst: Instance, frac: FractionalSolution, cap: Optional[int] = None):
         if frac.x.shape != (inst.n, inst.m, inst.k):
             raise DomainError("fractional solution shape does not match the instance")
+        if cap is not None and (not float(cap).is_integer() or cap < 1):
+            raise DomainError(f"rounding size cap must be an integer >= 1, got {cap}")
         self.inst = inst
         self.x = np.array(frac.x, dtype=float)  # mutable copy
         self.assign = np.full((inst.n, inst.k), -1, dtype=np.int64)
         self.held = np.zeros((inst.n, inst.m), dtype=bool)
         self.counts = np.zeros((inst.m, inst.k), dtype=np.int64)
         self.locked = np.zeros((inst.m, inst.k), dtype=bool)
-        self.cap = cap
+        self.cap = None if cap is None else int(cap)
         self.unfilled = inst.n * inst.k
         self.diagnostics = {"fallback_cells": 0, "samples": 0, "iterations": 0}
 

@@ -2,7 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -262,26 +265,6 @@ class TestCompare:
         assert calls == ["simp", "st"]
 
 
-class TestNumpyOnlyPath:
-    def test_solve_and_compare_without_scipy(self, fixture_files, tmp_path, monkeypatch):
-        # with scipy unimportable every relaxation goes to the dense simplex
-        monkeypatch.setitem(sys.modules, "scipy.optimize", None)
-        dense_calls = []
-        real = cd.lp._solve_dense
-        monkeypatch.setattr(cd.lp, "_solve_dense",
-                            lambda model, max_iter: dense_calls.append(1) or real(model, max_iter))
-        frac, bound = cd.solve_fractional(make_example())
-        frac.check()
-        assert bound == pytest.approx(10.45, abs=1e-6)
-        out = tmp_path / "table.csv"
-        assert run(["compare", "--in", fixture_files["inst"], "--algos", "avgd,per",
-                    "--seeds", "0", "--out", str(out)]) == 0
-        with open(out, newline="") as fh:
-            got = {row["algo"]: float(row["objective_unit_sum"]) for row in csv.DictReader(fh)}
-        assert got["avgd"] == pytest.approx(EXPECTED_UNIT["avgd"], abs=1e-6)
-        assert len(dense_calls) == 2
-
-
 class TestBadInput:
     """Malformed files end in exit 1 and a single ``error:`` line."""
 
@@ -384,3 +367,46 @@ class TestFracCommand:
         assert run(["frac", "--in", fixture_files["inst"], "--out", str(out)]) == 0
         frac = cd.FractionalSolution(x=np.asarray(core.load_json(out)["x"]))
         frac.check()
+
+
+# Runs CLI commands in a fresh interpreter and reports which of them left
+# scipy unloaded; argv lists arrive as JSON on stdin.
+_COLD_START = """
+import json, sys
+from codisplay import cli
+report = []
+for argv in json.load(sys.stdin):
+    if cli.main(argv) != 0:
+        raise SystemExit(f"failed: {argv}")
+    report.append([argv[0], "scipy" in sys.modules])
+print(json.dumps(report))
+"""
+
+
+class TestLazyScipyImport:
+    """scipy is imported by the first LP solve, not by commands that never solve."""
+
+    def test_only_solving_commands_import_scipy(self, fixture_files, tmp_path):
+        inst, frac = fixture_files["inst"], fixture_files["frac"]
+        sol = str(tmp_path / "sol.json")
+        commands = [
+            ["gen", "--kind", "random", "--n", "5", "--m", "4", "--k", "2",
+             "--seed", "1", "--out", str(tmp_path / "gen.json")],
+            ["solve", "--algo", "per", "--in", inst, "--out", sol],
+            ["solve", "--algo", "avgd", "--in", inst, "--frac", frac,
+             "--out", str(tmp_path / "avgd.json")],
+            ["eval", "--in", inst, "--sol", sol, "--out", str(tmp_path / "eval.json")],
+            ["replay", "--in", inst, "--frac", frac, "--seq", fixture_files["seq"],
+             "--out", str(tmp_path / "replay.json")],
+            ["export", "--in", inst, "--out", str(tmp_path / "full.lp")],
+            ["frac", "--in", inst, "--out", str(tmp_path / "frac.json")],
+        ]
+        src = str(Path(cd.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", _COLD_START], input=json.dumps(commands),
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert report == [["gen", False], ["solve", False], ["solve", False], ["eval", False],
+                          ["replay", False], ["export", False], ["frac", True]]

@@ -10,6 +10,7 @@ from codisplay import lp as lpm
 from codisplay.core import DomainError
 
 from conftest import make_example, make_frac, random_suite
+from dense_simplex import solve_dense
 
 
 def scipy_solve(model: lpm.LpModel) -> float:
@@ -168,11 +169,11 @@ def factors(res, inst):
 
 
 class TestBackends:
-    """HiGHS (the default when scipy imports) against the dense reference."""
+    """HiGHS against the dense reference simplex in ``tests/dense_simplex.py``."""
 
     def check_pair(self, model, inst):
         highs = lpm.solve_lp(model)
-        dense = lpm._solve_dense(model, 1_000_000)
+        dense = solve_dense(model)
         assert highs.status == dense.status == "optimal"
         assert highs.objective == pytest.approx(dense.objective, abs=1e-6)
         for res in (highs, dense):
@@ -191,7 +192,7 @@ class TestBackends:
     def test_non_optimal_statuses_agree(self, example):
         for expected, model, max_iter in toy_models(example):
             assert lpm.solve_lp(model, max_iter=max_iter).status == expected
-            assert lpm._solve_dense(model, max_iter).status == expected
+            assert solve_dense(model, max_iter).status == expected
 
     def test_block_reads_match_name_lookup(self, example):
         n, m, k = example.n, example.m, example.k

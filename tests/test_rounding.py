@@ -516,12 +516,28 @@ class TestIncrementalAvgd:
         assert state.unfilled == 0 and calls == [1]
 
     def test_no_open_cell_raises(self, example, example_frac):
-        # a cap of 0 leaves every cell full but none starved
-        with pytest.raises(DomainError, match="no cell to assign"):
+        # a cap of 0 is rejected before any cell is scored
+        with pytest.raises(DomainError, match="size cap must be an integer >= 1"):
             cd.avgd(example, example_frac, cap=0)
 
 
 class TestSizeCappedRounding:
+    @pytest.mark.parametrize("cap", [0, -1, 2.5])
+    @pytest.mark.parametrize("solve", [
+        lambda inst, frac, cap: cd.avg(inst, frac, rng_seed=0, cap=cap),
+        lambda inst, frac, cap: cd.avgd(inst, frac, cap=cap),
+        lambda inst, frac, cap: cd.best_of(inst, frac, seeds=range(2), cap=cap),
+    ], ids=["avg", "avgd", "best_of"])
+    def test_invalid_cap_rejected(self, example, example_frac, solve, cap):
+        with pytest.raises(DomainError,
+                           match=f"rounding size cap must be an integer >= 1, got {cap}$"):
+            solve(example, example_frac, cap)
+
+    def test_integral_float_cap_matches_int(self, example, example_frac):
+        for solve in (lambda cap: cd.avg(example, example_frac, rng_seed=0, cap=cap),
+                      lambda cap: cd.avgd(example, example_frac, cap=cap)):
+            assert np.array_equal(solve(2.0).assign, solve(2).assign)
+
     def test_loose_cap_matches_uncapped(self):
         inst = cd.gen_random(4, 5, 2, edge_prob=0.6, seed=23, d_tel=0.3, m_cap=4)
         frac, _ = lpm.solve_fractional(inst)

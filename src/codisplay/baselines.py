@@ -155,6 +155,8 @@ def independent_rounding(inst: Instance, frac: FractionalSolution, rng_seed: int
 
     No feasibility repair is attempted; the result may violate no-duplication.
     """
+    if frac.x.shape != (inst.n, inst.m, inst.k):
+        raise DomainError("fractional solution shape does not match the instance")
     rng = np.random.Generator(np.random.Philox(rng_seed))
     probs = np.clip(frac.x, 0.0, None).transpose(0, 2, 1)  # (n, k, m)
     cum = probs.cumsum(axis=2)

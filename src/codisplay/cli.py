@@ -37,6 +37,14 @@ def _load_sequence(path) -> list[rounding.FocalParams]:
         raise core.StructuralError(f"{path}: bad focal-parameter entry ({exc})") from None
 
 
+def _load_partition(path) -> list[list[int]]:
+    parts = core.load_json(path)
+    if not (isinstance(parts, list) and all(
+            isinstance(p, list) and all(type(u) is int for u in p) for p in parts)):
+        raise core.StructuralError(f"{path}: partition must be a list of lists of user indices")
+    return parts
+
+
 def _work_instance(inst: Instance) -> Instance:
     return inst if inst.lam == 0.5 else core.scale_preferences(inst)
 
@@ -114,7 +122,7 @@ def _run_algo(inst: Instance, algo: str, args,
         return baselines.group_topk(inst).assign, info
     if algo in ("sub-friend", "sub-pref"):
         if getattr(args, "partition", None):
-            partition = core.load_json(args.partition)
+            partition = _load_partition(args.partition)
         else:
             mode = "friendship" if algo == "sub-friend" else "preference"
             partition = baselines.auto_partition(inst, mode, getattr(args, "groups", 2),
@@ -220,6 +228,8 @@ def cmd_eval(args) -> int:
     if not isinstance(sol, dict) or "assign" not in sol:
         raise core.StructuralError(f"{args.sol}: missing key 'assign'")
     assign = core.array_field(sol["assign"], np.int64, f"{args.sol}: assign")
+    if assign.size and (assign.min() < 0 or assign.max() >= inst.m):
+        raise core.StructuralError(f"{args.sol}: assign holds an item outside [0, {inst.m})")
     # a feasible assignment is validated and scored once, by core.metrics
     if not core.validate(RawAssignment(assign=assign), inst):
         report = {"feasible": True, **core.metrics(inst, Configuration(assign=assign)).to_dict()}
@@ -297,10 +307,14 @@ def cmd_compare(args) -> int:
 
 
 def _parse_seeds(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(s) for s in text.split(",") if s]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..")
+            return list(range(int(lo), int(hi) + 1))
+        return [int(s) for s in text.split(",") if s]
+    except ValueError:
+        raise DomainError(f"--seeds must be a comma-separated integer list or lo..hi, "
+                          f"got {text!r}") from None
 
 
 def cmd_export(args) -> int:

@@ -7,6 +7,11 @@ item-per-user variables, combined directed social weight on the edge
 variables), so instances with lambda != 1/2 must be passed through
 ``core.scale_preferences`` first.
 
+Builders register whole blocks of variables (``LpModel.add_vars``) and address
+them by column index: each block is an index array, and the rows
+(``LpModel.add_rows``) are reshapes, transposes and stacks of those arrays.
+Variable names are made once per block, for export and ``LpResult.value``.
+
 ``solve_lp`` hands a model to HiGHS's dual simplex through scipy and checks
 the primal residual and dual certificate of every optimum it returns.
 """
@@ -28,36 +33,48 @@ CERT_TOL = 1e-6  # duality gap, dual sign and stationarity tolerance (relative)
 
 @dataclass
 class LpModel:
-    """A linear (or, for export, integer) program in row form, maximization."""
+    """A linear (or, for export, binary) program in row form, maximization.
+
+    Variables are registered in blocks and addressed by column index; every
+    row is a ``(cols, coefs, sense, rhs)`` tuple.
+    """
 
     maximize: bool = True
     var_names: list[str] = field(default_factory=list)
-    var_index: dict[str, int] = field(default_factory=dict)
     obj: list[float] = field(default_factory=list)
     upper: list[Optional[float]] = field(default_factory=list)
-    binary: list[bool] = field(default_factory=list)
     rows: list[tuple[np.ndarray, np.ndarray, str, float]] = field(default_factory=list)
     meta: dict = field(default_factory=dict)
 
-    def add_var(self, name: str, obj: float = 0.0, upper: Optional[float] = None,
-                binary: bool = False) -> int:
-        if name in self.var_index:
-            raise ValueError(f"duplicate variable {name}")
-        j = len(self.var_names)
-        self.var_names.append(name)
-        self.var_index[name] = j
-        self.obj.append(obj)
-        self.upper.append(upper)
-        self.binary.append(binary)
-        return j
+    def add_vars(self, name: str, shape: tuple[int, ...] = (), obj=0.0,
+                 upper: Optional[float] = None) -> np.ndarray:
+        """Register a row-major block named ``name_i_j...`` (plain ``name`` for
+        a scalar shape); ``obj`` broadcasts over the block.  Returns the
+        block's columns as an index array of ``shape``."""
+        start = len(self.var_names)
+        cols = np.arange(start, start + math.prod(shape), dtype=np.int64).reshape(shape)
+        names = [name]
+        for dim in shape:
+            names = [f"{prefix}_{i}" for prefix in names for i in range(dim)]
+        self.var_names.extend(names)
+        self.obj.extend(np.broadcast_to(np.asarray(obj, dtype=float), shape).ravel().tolist())
+        self.upper.extend([upper] * cols.size)
+        return cols
 
-    def add_row(self, cols, coefs, sense: str, rhs: float) -> None:
+    def add_rows(self, cols, coefs, sense: str, rhs) -> None:
+        """Add one row per leading index of a ``(..., L)`` column array (a 1-D
+        ``cols`` is one row); ``coefs`` and ``rhs`` broadcast over the rows."""
         if sense not in ("<=", "=", ">="):
             raise ValueError(f"bad sense {sense!r}")
         cols = np.asarray(cols, dtype=np.int64)
         if cols.size and (cols.min() < 0 or cols.max() >= len(self.var_names)):
             raise ValueError("constraint references unregistered variable")
-        self.rows.append((cols, np.asarray(coefs, dtype=float), sense, float(rhs)))
+        lead, width = cols.shape[:-1], cols.shape[-1]
+        count = math.prod(lead)
+        coefs = np.broadcast_to(np.asarray(coefs, dtype=float), cols.shape)
+        rhs = np.broadcast_to(np.asarray(rhs, dtype=float), lead)
+        self.rows.extend(zip(cols.reshape(count, width), coefs.reshape(count, width),
+                             [sense] * count, rhs.ravel().tolist()))
 
     @property
     def num_vars(self) -> int:
@@ -211,12 +228,33 @@ def _check_residuals(flat: _FlatRows, x: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _xname(u, c, s):
-    return f"x_{u}_{c}_{s}"
+def _link_rows(mdl: LpModel, total: np.ndarray, parts: np.ndarray) -> None:
+    """``total = sum of parts over their last axis``, one row per cell of ``total``."""
+    mdl.add_rows(np.concatenate([total[..., None], parts], axis=-1),
+                 [1.0] + [-1.0] * parts.shape[-1], "=", 0.0)
 
 
-def _xuname(u, c):
-    return f"xu_{u}_{c}"
+def _edge_rows(mdl: LpModel, inst: Instance, y: np.ndarray, x: np.ndarray) -> None:
+    """``y <= x[eu]`` and ``y <= x[ev]``, the pair of rows per edge cell."""
+    mdl.add_rows(np.stack([np.stack([y, x[inst.eu]], axis=-1),
+                           np.stack([y, x[inst.ev]], axis=-1)], axis=-2),
+                 [1.0, -1.0], "<=", 0.0)
+
+
+def _full_lp(inst: Instance, ye_obj: np.ndarray) -> tuple[LpModel, np.ndarray, np.ndarray]:
+    """The per-slot model and its ``x`` (n, m, k) and ``xu`` (n, m) blocks."""
+    n, m, k, num_edges = inst.n, inst.m, inst.k, inst.num_edges
+    mdl = LpModel(meta={"kind": "full", "n": n, "m": m, "k": k})
+    x = mdl.add_vars("x", (n, m, k))
+    xu = mdl.add_vars("xu", (n, m), obj=inst.pref)
+    y = mdl.add_vars("y", (num_edges, m, k))
+    ye = mdl.add_vars("ye", (num_edges, m), obj=ye_obj)
+    mdl.add_rows(x, 1.0, "<=", 1.0)  # item at most once per user
+    mdl.add_rows(x.transpose(0, 2, 1), 1.0, "=", 1.0)  # one item per slot
+    _link_rows(mdl, xu, x)
+    _link_rows(mdl, ye, y)
+    _edge_rows(mdl, inst, y, x)
+    return mdl, x, xu
 
 
 def build_full_lp(inst: Instance) -> LpModel:
@@ -226,66 +264,16 @@ def build_full_lp(inst: Instance) -> LpModel:
     Upper bounds of 1 on every variable are implied by the row structure and
     therefore not added explicitly.
     """
-    mdl = LpModel(meta={"kind": "full", "n": inst.n, "m": inst.m, "k": inst.k})
-    for u in range(inst.n):
-        for c in range(inst.m):
-            for s in range(inst.k):
-                mdl.add_var(_xname(u, c, s), binary=True)
-    for u in range(inst.n):
-        for c in range(inst.m):
-            mdl.add_var(_xuname(u, c), obj=float(inst.pref[u, c]), binary=True)
-    for e in range(inst.num_edges):
-        for c in range(inst.m):
-            for s in range(inst.k):
-                mdl.add_var(f"y_{e}_{c}_{s}", binary=True)
-    for e, w in enumerate(inst.w):
-        for c in range(inst.m):
-            mdl.add_var(f"ye_{e}_{c}", obj=float(w[c]), binary=True)
-    idx = mdl.var_index
-
-    for u in range(inst.n):
-        for c in range(inst.m):
-            cols = [idx[_xname(u, c, s)] for s in range(inst.k)]
-            mdl.add_row(cols, np.ones(inst.k), "<=", 1.0)  # item at most once per user
-    for u in range(inst.n):
-        for s in range(inst.k):
-            cols = [idx[_xname(u, c, s)] for c in range(inst.m)]
-            mdl.add_row(cols, np.ones(inst.m), "=", 1.0)  # one item per slot
-    for u in range(inst.n):
-        for c in range(inst.m):
-            cols = [idx[_xuname(u, c)]] + [idx[_xname(u, c, s)] for s in range(inst.k)]
-            mdl.add_row(cols, [1.0] + [-1.0] * inst.k, "=", 0.0)
-    for e in range(inst.num_edges):
-        for c in range(inst.m):
-            cols = [idx[f"ye_{e}_{c}"]] + [idx[f"y_{e}_{c}_{s}"] for s in range(inst.k)]
-            mdl.add_row(cols, [1.0] + [-1.0] * inst.k, "=", 0.0)
-    for e, (u, v) in enumerate(zip(inst.eu.tolist(), inst.ev.tolist())):
-        for c in range(inst.m):
-            for s in range(inst.k):
-                yj = idx[f"y_{e}_{c}_{s}"]
-                mdl.add_row([yj, idx[_xname(u, c, s)]], [1.0, -1.0], "<=", 0.0)
-                mdl.add_row([yj, idx[_xname(v, c, s)]], [1.0, -1.0], "<=", 0.0)
-    return mdl
+    return _full_lp(inst, inst.w)[0]
 
 
 def build_simplified_lp(inst: Instance) -> LpModel:
     """Compact slot-free relaxation; optimum equals the full relaxation."""
     mdl = LpModel(meta={"kind": "simp", "n": inst.n, "m": inst.m, "k": inst.k})
-    for u in range(inst.n):
-        for c in range(inst.m):
-            mdl.add_var(_xuname(u, c), obj=float(inst.pref[u, c]), upper=1.0, binary=True)
-    for e, w in enumerate(inst.w):
-        for c in range(inst.m):
-            mdl.add_var(f"ye_{e}_{c}", obj=float(w[c]), binary=True)
-    idx = mdl.var_index
-    for u in range(inst.n):
-        cols = [idx[_xuname(u, c)] for c in range(inst.m)]
-        mdl.add_row(cols, np.ones(inst.m), "=", float(inst.k))
-    for e, (u, v) in enumerate(zip(inst.eu.tolist(), inst.ev.tolist())):
-        for c in range(inst.m):
-            yj = idx[f"ye_{e}_{c}"]
-            mdl.add_row([yj, idx[_xuname(u, c)]], [1.0, -1.0], "<=", 0.0)
-            mdl.add_row([yj, idx[_xuname(v, c)]], [1.0, -1.0], "<=", 0.0)
+    xu = mdl.add_vars("xu", (inst.n, inst.m), obj=inst.pref, upper=1.0)
+    ye = mdl.add_vars("ye", (inst.num_edges, inst.m), obj=inst.w)
+    mdl.add_rows(xu, 1.0, "=", float(inst.k))
+    _edge_rows(mdl, inst, ye, xu)
     return mdl
 
 
@@ -300,25 +288,11 @@ def build_st_lp(inst: Instance) -> LpModel:
     if inst.st is None:
         raise DomainError("instance has no teleportation parameters")
     d = inst.st.d_tel
-    mdl = build_full_lp(inst)
+    mdl, x, xu = _full_lp(inst, (1.0 - d) * inst.w)
     mdl.meta["kind"] = "st"
-    idx = mdl.var_index
-    for e, w in enumerate(inst.w):
-        for c in range(inst.m):
-            mdl.obj[idx[f"ye_{e}_{c}"]] = float((1.0 - d) * w[c])
-    for e, w in enumerate(inst.w):
-        for c in range(inst.m):
-            mdl.add_var(f"z_{e}_{c}", obj=float(d * w[c]), binary=True)
-    idx = mdl.var_index
-    for e, (u, v) in enumerate(zip(inst.eu.tolist(), inst.ev.tolist())):
-        for c in range(inst.m):
-            zj = idx[f"z_{e}_{c}"]
-            mdl.add_row([zj, idx[_xuname(u, c)]], [1.0, -1.0], "<=", 0.0)
-            mdl.add_row([zj, idx[_xuname(v, c)]], [1.0, -1.0], "<=", 0.0)
-    for c in range(inst.m):
-        for s in range(inst.k):
-            cols = [idx[_xname(u, c, s)] for u in range(inst.n)]
-            mdl.add_row(cols, np.ones(inst.n), "<=", float(inst.st.M))
+    z = mdl.add_vars("z", (inst.num_edges, inst.m), obj=d * inst.w)
+    _edge_rows(mdl, inst, z, xu)
+    mdl.add_rows(x.transpose(1, 2, 0), 1.0, "<=", float(inst.st.M))  # size cuts
     return mdl
 
 
@@ -368,7 +342,7 @@ def expand_solution(result: LpResult, inst: Instance) -> FractionalSolution:
     """Spread a compact optimum uniformly over slots: x[u][c][s] = xu/k."""
     if result.status != "optimal":
         raise DomainError(f"cannot expand a result with status {result.status!r}")
-    xu = _leading_block(result, (inst.n, inst.m), _xuname(inst.n - 1, inst.m - 1))
+    xu = _leading_block(result, (inst.n, inst.m), f"xu_{inst.n - 1}_{inst.m - 1}")
     x = np.repeat(xu[:, :, None] / inst.k, inst.k, axis=2)
     frac = FractionalSolution(np.clip(x, 0.0, 1.0))
     frac.check()
@@ -380,7 +354,7 @@ def frac_from_full_result(result: LpResult, inst: Instance) -> FractionalSolutio
     if result.status != "optimal":
         raise DomainError(f"result status is {result.status!r}")
     x = _leading_block(result, (inst.n, inst.m, inst.k),
-                       _xname(inst.n - 1, inst.m - 1, inst.k - 1))
+                       f"x_{inst.n - 1}_{inst.m - 1}_{inst.k - 1}")
     return FractionalSolution(np.clip(x, 0.0, 1.0))
 
 
@@ -430,10 +404,8 @@ def export_model(model: LpModel, integrality: bool = False) -> str:
     if bound_lines:
         out.append("Bounds")
         out.extend(bound_lines)
-    if integrality:
+    if integrality:  # every variable of the assignment program is binary
         out.append("Binary")
-        for name, flag in zip(model.var_names, model.binary):
-            if flag:
-                out.append(f" {name}")
+        out.extend(f" {name}" for name in model.var_names)
     out.append("End")
     return "\n".join(out) + "\n"

@@ -158,6 +158,12 @@ class TestIndependentRounding:
         )
         assert dups > 0
 
+    @pytest.mark.parametrize("shape", [(5, 5, 2), (4, 5, 2), (4, 4, 3)])
+    def test_mismatched_shape_rejected(self, example, shape):
+        frac = cd.FractionalSolution(np.full(shape, 1.0 / shape[1]))
+        with pytest.raises(DomainError, match="shape does not match"):
+            cd.independent_rounding(example, frac)
+
 
 class TestStPrepartition:
     def test_loose_cap_single_subinstance(self):

@@ -331,6 +331,34 @@ class TestBadInput:
                                      "--in", fixture_files["inst"],
                                      "--frac", fixture_files["frac"]]), capsys)
 
+    @pytest.mark.parametrize("item", [9, -1, 5])
+    def test_solution_item_out_of_range(self, fixture_files, tmp_path, capsys, item):
+        # -1 must not wrap around to the last item
+        bad = tmp_path / "sol.json"
+        core.dump_json({"assign": [[2, item, 0]] + [[0, 1, 2]] * 3}, bad)
+        self.assert_clean_error(run(["eval", "--in", fixture_files["inst"],
+                                     "--sol", str(bad)]), capsys)
+
+    @pytest.mark.parametrize("seeds", ["x", "1..b", "0,1.5", "1..2..3"])
+    def test_seeds_not_integers(self, fixture_files, capsys, seeds):
+        self.assert_clean_error(run(["compare", "--in", fixture_files["inst"],
+                                     "--algos", "per", "--seeds", seeds]), capsys)
+
+    @pytest.mark.parametrize("partition", [{"a": 1}, [[0, 1], ["x", 3]], [[0, 1.7], [2, 3]],
+                                           [0, 1, 2, 3]],
+                             ids=["object", "string", "float", "flat"])
+    def test_malformed_partition(self, fixture_files, tmp_path, capsys, partition):
+        bad = tmp_path / "part.json"
+        core.dump_json(partition, bad)
+        self.assert_clean_error(run(["solve", "--algo", "sub-friend", "--in", fixture_files["inst"],
+                                     "--partition", str(bad)]), capsys)
+
+    def test_indep_with_mismatched_factors(self, fixture_files, tmp_path, capsys):
+        bad = tmp_path / "frac.json"
+        core.dump_json({"x": np.full((5, 5, 2), 0.2).tolist()}, bad)
+        self.assert_clean_error(run(["solve", "--algo", "indep", "--in", fixture_files["inst"],
+                                     "--frac", str(bad)]), capsys)
+
     def test_sequence_entry_without_alpha(self, fixture_files, tmp_path, capsys):
         bad = tmp_path / "seq.json"
         core.dump_json([{"c": 0, "s": 0}], bad)

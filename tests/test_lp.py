@@ -1,5 +1,7 @@
 """Relaxation builders, simplex, expansion, and export tests."""
 
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -100,23 +102,23 @@ class TestBuilders:
 class TestSolver:
     def test_trivial_bound(self):
         mdl = lpm.LpModel()
-        mdl.add_var("x", obj=1.0)
-        mdl.add_row([0], [1.0], "<=", 1.0)
+        mdl.add_vars("x", obj=1.0)
+        mdl.add_rows([0], [1.0], "<=", 1.0)
         res = lpm.solve_lp(mdl)
         assert res.status == "optimal"
         assert res.objective == pytest.approx(1.0)
 
     def test_infeasible_detected(self):
         mdl = lpm.LpModel()
-        mdl.add_var("x", obj=1.0)
-        mdl.add_row([0], [1.0], "<=", 1.0)
-        mdl.add_row([0], [1.0], ">=", 2.0)
+        mdl.add_vars("x", obj=1.0)
+        mdl.add_rows([0], [1.0], "<=", 1.0)
+        mdl.add_rows([0], [1.0], ">=", 2.0)
         assert lpm.solve_lp(mdl).status == "infeasible"
 
     def test_unbounded_detected(self):
         mdl = lpm.LpModel()
-        mdl.add_var("x", obj=1.0)
-        mdl.add_row([0], [1.0], ">=", 1.0)
+        mdl.add_vars("x", obj=1.0)
+        mdl.add_rows([0], [1.0], ">=", 1.0)
         assert lpm.solve_lp(mdl).status == "unbounded"
 
     def test_iteration_limit_reported(self, example):
@@ -143,7 +145,7 @@ class TestSolver:
         mdl = lpm.build_simplified_lp(example)
         first = lpm.solve_lp(mdl)
         cols = [j for j, coef in enumerate(mdl.obj) if coef != 0.0]
-        mdl.add_row(cols, [mdl.obj[j] for j in cols], "=", first.objective)
+        mdl.add_rows(cols, [mdl.obj[j] for j in cols], "=", first.objective)
         again = lpm.solve_lp(mdl)
         assert again.status == "optimal"
         assert again.objective == pytest.approx(first.objective, abs=1e-6)
@@ -152,12 +154,12 @@ class TestSolver:
 def toy_models(example):
     """(expected status, model, max_iter) of models that have no optimum."""
     infeasible = lpm.LpModel()
-    infeasible.add_var("x", obj=1.0)
-    infeasible.add_row([0], [1.0], "<=", 1.0)
-    infeasible.add_row([0], [1.0], ">=", 2.0)
+    infeasible.add_vars("x", obj=1.0)
+    infeasible.add_rows([0], [1.0], "<=", 1.0)
+    infeasible.add_rows([0], [1.0], ">=", 2.0)
     unbounded = lpm.LpModel()
-    unbounded.add_var("x", obj=1.0)
-    unbounded.add_row([0], [1.0], ">=", 1.0)
+    unbounded.add_vars("x", obj=1.0)
+    unbounded.add_rows([0], [1.0], ">=", 1.0)
     return [("infeasible", infeasible, 1_000_000), ("unbounded", unbounded, 1_000_000),
             ("iteration_limit", lpm.build_full_lp(example), 3)]
 
@@ -382,8 +384,9 @@ class TestExport:
         obj, _, bounded, _ = parse_lp_text(text)
         rebuilt = lpm.LpModel()
         for name in mdl.var_names:
-            rebuilt.add_var(name, obj=obj.get(name, 0.0),
-                            upper=1.0 if name in set(bounded) else None)
+            rebuilt.add_vars(name, obj=obj.get(name, 0.0),
+                             upper=1.0 if name in set(bounded) else None)
+        index = {name: j for j, name in enumerate(rebuilt.var_names)}
         for ln in text.splitlines():
             ln = ln.strip()
             if not ln.startswith("c") or ":" not in ln:
@@ -399,9 +402,101 @@ class TestExport:
                 if not term:
                     continue
                 coef, name = term.split()
-                cols.append(rebuilt.var_index[name])
+                cols.append(index[name])
                 coefs.append(float(coef))
-            rebuilt.add_row(cols, coefs, sense, float(rhs))
+            rebuilt.add_rows(cols, coefs, sense, float(rhs))
         a = lpm.solve_lp(mdl)
         b = lpm.solve_lp(rebuilt)
         assert b.objective == pytest.approx(a.objective, abs=1e-7)
+
+
+class TestModelBlocks:
+    def test_add_vars_names_and_columns(self):
+        mdl = lpm.LpModel()
+        a = mdl.add_vars("a", (2, 3), obj=[1.0, 2.0, 3.0])
+        b = mdl.add_vars("b", upper=1.0)
+        assert a.tolist() == [[0, 1, 2], [3, 4, 5]]
+        assert b.shape == () and int(b) == 6
+        assert mdl.var_names == ["a_0_0", "a_0_1", "a_0_2", "a_1_0", "a_1_1", "a_1_2", "b"]
+        assert mdl.obj == [1.0, 2.0, 3.0, 1.0, 2.0, 3.0, 0.0]
+        assert mdl.upper == [None] * 6 + [1.0]
+
+    def test_add_rows_one_row_per_leading_index(self):
+        mdl = lpm.LpModel()
+        a = mdl.add_vars("a", (2, 3))
+        mdl.add_rows(a, [1.0, 2.0, 3.0], "<=", [4.0, 5.0])
+        mdl.add_rows(a[:, 0], -1.0, ">=", 0)
+        assert mdl.num_rows == 3
+        (c0, v0, s0, r0), (c1, _, _, r1), (c2, v2, s2, r2) = mdl.rows
+        assert c0.tolist() == [0, 1, 2] and c1.tolist() == [3, 4, 5] and c2.tolist() == [0, 3]
+        assert v0.tolist() == [1.0, 2.0, 3.0] and v2.tolist() == [-1.0, -1.0]
+        assert (s0, s2) == ("<=", ">=") and (r0, r1, r2) == (4.0, 5.0, 0.0)
+        assert type(r2) is float and c0.dtype == np.int64 and v0.dtype == float
+
+    def test_bad_sense_rejected(self):
+        mdl = lpm.LpModel()
+        x = mdl.add_vars("x", (2,))
+        with pytest.raises(ValueError, match="bad sense"):
+            mdl.add_rows(x, 1.0, "<", 1.0)
+        assert mdl.num_rows == 0
+
+    @pytest.mark.parametrize("col", [-1, 2])
+    def test_unregistered_column_rejected(self, col):
+        mdl = lpm.LpModel()
+        mdl.add_vars("x", (2,))
+        with pytest.raises(ValueError, match="unregistered variable"):
+            mdl.add_rows([[0, 1], [1, col]], 1.0, "<=", 1.0)
+        assert mdl.num_rows == 0
+
+
+PINNED_INSTANCES = {
+    "example": make_example,
+    "plain_5_6_2": lambda: cd.gen_random(5, 6, 2, edge_prob=0.5, seed=1),
+    "tel_8_6_2_cap2": lambda: cd.gen_random(8, 6, 2, edge_prob=0.5, seed=2, d_tel=0.4, m_cap=2),
+    "tel_12_8_3_cap3": lambda: cd.gen_random(12, 8, 3, edge_prob=0.4, seed=3, d_tel=0.3, m_cap=3),
+    "edgeless_tel_4_5_2": lambda: cd.gen_random(4, 5, 2, edge_prob=0.0, seed=4, d_tel=0.5, m_cap=2),
+}
+
+# sha256 of export_model text (relaxed, binary): a change to how the builders
+# work must leave every exported model identical byte for byte
+PINNED_EXPORTS = {
+    ("example", "full"): ("c9a377ad1b8a3d20a83f0298aa69e91e797c4a1e2e922ab4cffd70d0f9618d9d",
+        "0bba9c8258515f3af435421acd8ae190dc0f8d7709280768c3a4175bfc232d9e"),
+    ("example", "simp"): ("77e545b1befc9c8aba920fde9d0db8824ea1da75fa41697fb019c033dcdc6e89",
+        "3fa362785fc0a8a8bad7a5bc171ae3ad7eb6fe57d3c741b8685cdcf36694d237"),
+    ("plain_5_6_2", "full"): ("592c0da16f013583ee9610d1e4c9b19ff9dbb8e8f08f535d40e438d2954774b8",
+        "98b368d3d474ffcd4d0d39cc8cb8b684dab3827e34924f3478c2dccb4450ac31"),
+    ("plain_5_6_2", "simp"): ("b7c025f758b3bf9e03f2109e336b44af489c134b23f9faf58ddcd89de3256861",
+        "179a011a60cf6399277df64fdd8b4d944f79715355202a98e3576f064534933f"),
+    ("tel_8_6_2_cap2", "full"): ("c6e8d7957344f6b09ac3d44987d104d3f2a9b88e5fba873a3b21801210da005a",
+        "87ff8f90fa05846f5ba1c115e4cf128cff367808cc31094c4c5a643320dafd16"),
+    ("tel_8_6_2_cap2", "simp"): ("e9d476a19f52674311d6d437e607d3bb36751b0b69f71f371bbb99542f5a4296",
+        "64be1e1d710bf61f6253fdd49979da87d4cedd373d0168225e5b4a926d41ab10"),
+    ("tel_8_6_2_cap2", "st"): ("4031b8a28cbe382d39d239d9d07ebbdc0f1c596019cc4f1eb044b09c2852b318",
+        "dcb3a7078fb64562ae0917ee956ac6d6cb0fe132dfd0f74086bb90da367b1a0a"),
+    ("tel_12_8_3_cap3", "full"): ("77fe31aca34f4ff4351c3192c9be980feb7f1bd38ef6ad4e56996cdecb2a5e68",
+        "38c3ee5ef2cf9ae91f6bb74de414c573cab5d6e2838a42d1556a9dffe5331198"),
+    ("tel_12_8_3_cap3", "simp"): ("a80058280df15884e3888b88f80bbf3d7badfa3093b8937d5605890901f80f93",
+        "704ff006d532d6952dd5a6dde8f9f39dd859beba27e39007b31cdf53307917da"),
+    ("tel_12_8_3_cap3", "st"): ("a18f414b161248327efba28810954e03846e987bbd788533742c394bd1b91c6c",
+        "ce3c0b1e10b80ac3f437db8ed4bcb877a87885b62c28c7cb40b2eaee9db67246"),
+    ("edgeless_tel_4_5_2", "full"): ("65401142e13447091963851dff21d854fcd7d00c5195ca6f84a65cae305ced19",
+        "9bfb3730960742f3d9d5335c78df6667bd80e89ccd904f39ef7be923a247bd11"),
+    ("edgeless_tel_4_5_2", "simp"): ("6667b6dc620a8be3388e261219e7f52c62b42543540fad9e83e14dcb476b32c0",
+        "1ef8852d4c79fe94f5adf07e0410861ad74684c11bb082527d58e7a4061883a0"),
+    ("edgeless_tel_4_5_2", "st"): ("0af9f957abbd521199cfb73a04f46dc47b2406e23c13d8421c19e59b33d54faa",
+        "6cc85d3591f660426d25177bb2b30e7efff324cc67d57e2b6ef5dd2b07c4cd84"),
+}
+
+PINNED_BUILDERS = {"full": lpm.build_full_lp, "simp": lpm.build_simplified_lp,
+                   "st": lpm.build_st_lp}
+
+
+class TestPinnedModels:
+    @pytest.mark.parametrize("key", sorted(PINNED_EXPORTS), ids="/".join)
+    def test_export_digest(self, key):
+        name, kind = key
+        mdl = PINNED_BUILDERS[kind](PINNED_INSTANCES[name]())
+        digests = tuple(hashlib.sha256(lpm.export_model(mdl, integrality=flag).encode()).hexdigest()
+                        for flag in (False, True))
+        assert digests == PINNED_EXPORTS[key]

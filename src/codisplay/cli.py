@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -31,7 +32,8 @@ def _load_frac(path) -> FractionalSolution:
 def _load_sequence(path) -> list[rounding.FocalParams]:
     seq = core.load_json(path)
     try:
-        return [rounding.FocalParams(int(f["c"]), int(f["s"]), float(f["alpha"]))
+        return [rounding.FocalParams(core.int_field(f["c"], f"{path}: c"),
+                                     core.int_field(f["s"], f"{path}: s"), float(f["alpha"]))
                 for f in seq]
     except (KeyError, TypeError) as exc:
         raise core.StructuralError(f"{path}: bad focal-parameter entry ({exc})") from None
@@ -420,10 +422,19 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe then fails here, not at interpreter exit
+        return code
     except (DomainError, core.StructuralError, FileNotFoundError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader went away (``codisplay eval ... | head -1``): send what is
+        # still buffered to devnull, so that the exit-time flush cannot fail too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
 
 

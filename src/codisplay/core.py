@@ -482,13 +482,26 @@ def metrics(inst: Instance, config: Configuration) -> MetricsReport:
 # ---------------------------------------------------------------------------
 
 
+def int_field(value, what: str) -> int:
+    """A parsed JSON integer; a float, a bool or a string is a StructuralError
+    rather than being truncated or converted."""
+    if type(value) is not int:  # bool is a subclass of int
+        raise StructuralError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def array_field(value, dtype, what: str) -> np.ndarray:
     """A parsed JSON list as an array; a ragged or non-numeric list is a
-    StructuralError rather than numpy's ValueError."""
+    StructuralError rather than numpy's ValueError.  An integer array takes
+    integer entries only, each read by `int_field`."""
     try:
-        return np.asarray(value, dtype=dtype)
-    except (ValueError, TypeError) as exc:
+        arr = np.asarray(value, dtype=dtype)
+    except (ValueError, TypeError, OverflowError) as exc:
         raise StructuralError(f"{what} is not a rectangular numeric array ({exc})") from None
+    if arr.dtype.kind == "i":
+        for x in np.asarray(value, dtype=object).flat:
+            int_field(x, f"{what} entry")
+    return arr
 
 
 def instance_to_dict(inst: Instance) -> dict:
@@ -514,13 +527,14 @@ def instance_from_dict(d: dict) -> Instance:
     try:
         st = None
         if d.get("st") is not None:
-            st = StParams(d_tel=float(d["st"]["d_tel"]), M=int(d["st"]["M"]))
+            st = StParams(d_tel=float(d["st"]["d_tel"]), M=int_field(d["st"]["M"], "M"))
         edges = [
-            Edge(int(e["u"]), int(e["v"]), array_field(e["tau_uv"], float, "tau_uv"),
+            Edge(int_field(e["u"], "edge u"), int_field(e["v"], "edge v"),
+                 array_field(e["tau_uv"], float, "tau_uv"),
                  array_field(e["tau_vu"], float, "tau_vu"))
             for e in d.get("edges", [])
         ]
-        sizes = int(d["n"]), int(d["m"]), int(d["k"])
+        sizes = tuple(int_field(d[key], key) for key in ("n", "m", "k"))
         pref, lam = array_field(d["pref"], float, "pref"), float(d["lambda"])
     except (KeyError, TypeError) as exc:
         raise StructuralError(f"instance is missing or has a malformed field ({exc})") from None

@@ -10,6 +10,7 @@ import numpy as np
 from .core import Configuration, DomainError, Edge, Instance, StParams
 
 GUARD_LIMIT = 20_000_000
+BLOCK = 1 << 14  # configurations scored at once by `_search`
 
 
 class OracleSizeError(DomainError):
@@ -59,72 +60,102 @@ def _edge_matrices(inst: Instance, arr: np.ndarray, d_tel: float | None) -> list
 
 def _search(inst: Instance, arr: np.ndarray, pref_scores: np.ndarray,
             mats: list[np.ndarray], m_cap: int | None) -> tuple[list[int], float]:
-    """Depth-first maximization over per-user arrangement choices.
+    """Exhaustive maximization over per-user arrangement choices, block by block.
 
-    The last user is evaluated as a vector; earlier users are explicit loops
-    with incremental scores.  With a subgroup cap, branches whose (item, slot)
-    counts exceed the cap are pruned.  Ties resolve to the lexicographically
-    smallest assignment because enumeration is lexicographic and comparisons
-    are strict.
+    A block holds at most ``BLOCK`` configurations: the last ``s`` users span
+    whole axes (``P^s <= BLOCK``), the user before them a run of ``r`` of its
+    arrangements, and the users before that are a fixed prefix, enumerated
+    lexicographically in Python.  A block is scored at once by broadcasting.
+    Each user's increment adds its preference score and then its edge terms in
+    edge order, and the total adds the increments user by user: the order of a
+    depth-first search, so values are bit-identical to one.  With a subgroup
+    cap, a configuration whose (item, slot) counts exceed the cap scores
+    ``-inf``, and a prefix that already exceeds it is skipped.  Ties resolve to
+    the lexicographically smallest assignment: blocks are visited in
+    lexicographic order and compared strictly, and within a block the last
+    user's arrangement and then the row are taken by first maximum in C order.
     """
-    n, k = inst.n, inst.k
+    n = inst.n
     p = arr.shape[0]
-    edges_into = [[] for _ in range(n)]  # (earlier_user, matrix) per user
-    for u, v, mat in zip(inst.eu.tolist(), inst.ev.tolist(), mats):
-        edges_into[max(u, v)].append((min(u, v), mat if u < v else mat.T))
-
-    best_val = -np.inf
-    best_choice: list[int] = []
-    choice = [0] * n
-    counts = np.zeros((inst.m, k), dtype=np.int64) if m_cap is not None else None
-    slots = np.arange(k)
-
-    if m_cap is not None:
-        # feasibility of each single arrangement given current counts
-        def feasible_vector() -> np.ndarray:
-            return (counts[arr, slots[None, :]] < m_cap).all(axis=1)
-
-    def add_counts(a_idx: int, sign: int) -> bool:
-        row = arr[a_idx]
-        counts[row, slots] += sign
-        return bool((counts[row, slots] <= m_cap).all())
-
-    def recurse(u: int, score: float) -> None:
-        nonlocal best_val, best_choice
-        if u == n - 1:
-            vec = pref_scores[u].copy()
-            for v, mat in edges_into[u]:
-                vec += mat[choice[v]]
-            if m_cap is not None:
-                ok = feasible_vector()
-                if not ok.any():
-                    return
-                vec = np.where(ok, vec, -np.inf)
-            i = int(np.argmax(vec))
-            total = score + float(vec[i])
-            if total > best_val:
-                best_val = total
-                best_choice = choice[:u] + [i]
-            return
-        for i in range(p):
-            if m_cap is not None:
-                ok = add_counts(i, +1)
-                if not ok:
-                    add_counts(i, -1)
-                    continue
-            choice[u] = i
-            inc = float(pref_scores[u, i])
-            for v, mat in edges_into[u]:
-                inc += float(mat[choice[v], i])
-            recurse(u + 1, score + inc)
-            if m_cap is not None:
-                add_counts(i, -1)
-
     if n == 1:  # a single user can never exceed a cap of >= 1
         vec = pref_scores[0]
         i = int(np.argmax(vec))
         return [i], float(vec[i])
-    recurse(0, 0.0)
+    edges_into = [[] for _ in range(n)]  # (earlier_user, matrix) per user
+    for u, v, mat in zip(inst.eu.tolist(), inst.ev.tolist(), mats):
+        edges_into[max(u, v)].append((min(u, v), mat if u < v else mat.T))
+
+    # max(p, 2): with P = 1, P^s never grows, and numpy allows only 64 axes
+    s = 1
+    while s < n - 1 and max(p, 2) ** (s + 1) <= BLOCK:
+        s += 1
+    f = n - 1 - s  # the user whose arrangements are split into runs of rows
+    nb = s + 1
+    chunks = -(-p // max(1, BLOCK // p ** s))
+    r = -(-p // chunks)
+
+    def place(x: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+        """View of x with its last dimensions on the given block axes
+        (ascending); any leading dimension stays in front of the block."""
+        lead = x.ndim - len(axes)
+        shape = list(x.shape[:lead]) + [1] * nb
+        for d, ax in zip(x.shape[lead:], axes):
+            shape[lead + ax] = d
+        return x.reshape(shape)
+
+    capped = m_cap is not None and m_cap < n  # n users never exceed a cap of n
+    if capped:
+        dt = np.min_scalar_type(-n)  # signed, holds every count up to n
+        cells = inst.m * inst.k
+        # a block's counts take m*k small integers per configuration, stored
+        # cell-major, so the check per configuration reduces over the first axis
+        onehot = np.zeros((cells, p), dtype=dt)  # (slot * m + item, arrangement)
+        onehot[np.arange(inst.k) * inst.m + arr, np.arange(p)[:, None]] = 1
+        tail = sum(place(onehot, (u - f,)) for u in range(f + 1, n))
+
+    best_val = -np.inf
+    best_choice: list[int] = []
+    for pre in itertools.product(range(p), repeat=f):
+        score = 0.0
+        for u, i in enumerate(pre):
+            inc = float(pref_scores[u, i])
+            for v, mat in edges_into[u]:
+                inc += float(mat[pre[v], i])
+            score += inc
+        if capped:
+            base = onehot[:, list(pre)].sum(axis=1, dtype=dt)
+            if (base > m_cap).any():
+                continue
+        for lo in range(0, p, r):
+            hi = min(lo + r, p)
+            rows = slice(lo, hi)
+            total = score
+            for u in range(f, n):
+                idx = rows if u == f else slice(None)
+                inc = place(pref_scores[u, idx], (u - f,))
+                for v, mat in edges_into[u]:
+                    if v < f:
+                        inc = inc + place(mat[pre[v], idx], (u - f,))
+                    else:
+                        inc = inc + place(mat[rows] if v == f else mat, (v - f, u - f))
+                if u < n - 1:
+                    total = total + inc
+            shape = (hi - lo,) + (p,) * s
+            if capped:
+                counts = tail + place(base[:, None] + onehot[:, rows], (0,))
+                inc = np.where(counts.max(axis=0) <= m_cap, inc, -np.inf)
+            if inc.shape != shape:  # the last user is not linked to every block user
+                inc = np.broadcast_to(inc, shape)
+            last = inc.reshape(-1, p)
+            pick = last.argmax(axis=1)
+            # every block user but the last adds its own axis to the total
+            totals = total.reshape(-1) + last[np.arange(len(pick)), pick]
+            j = int(totals.argmax())
+            if totals[j] > best_val:
+                best_val = float(totals[j])
+                row = np.unravel_index(j, shape[:-1])
+                best_choice = (list(pre) + [lo + int(row[0])]
+                               + [int(x) for x in row[1:]] + [int(pick[j])])
     if not math.isfinite(best_val):
         raise DomainError("no feasible configuration under the subgroup size cap")
     return best_choice, best_val

@@ -70,6 +70,23 @@ def make_example(lam: float = 0.5) -> cd.Instance:
     return cd.Instance(n=4, m=5, k=3, pref=PREF.copy(), edges=edges, lam=lam)
 
 
+# (field, value) pairs that an instance file must not accept as an integer;
+# `int()` would read each one as a valid size, cap or endpoint
+INTEGER_FIELD_CASES = [
+    ("n", 4.0), ("n", 4.7), ("n", "4"), ("k", True), ("M", 2.0), ("u", 0.7), ("v", "1"),
+]
+
+
+def instance_dict_with(field: str, value) -> dict:
+    """The running example with a cap, as a JSON dict, with one integer field
+    (n, m, k, the cap M, or the first edge's u or v) replaced by ``value``."""
+    d = cd.core.instance_to_dict(make_example())
+    d["st"] = {"d_tel": 0.5, "M": 2}
+    owner = {"M": d["st"], "u": d["edges"][0], "v": d["edges"][0]}.get(field, d)
+    owner[field] = value
+    return d
+
+
 def make_frac() -> cd.FractionalSolution:
     x = np.repeat((FRAC_SUPPORT / 3.0)[:, :, None], 3, axis=2)
     return cd.FractionalSolution(x=x)

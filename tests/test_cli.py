@@ -13,7 +13,8 @@ import pytest
 import codisplay as cd
 from codisplay import cli, core
 
-from conftest import EXPECTED_UNIT, REPLAY_SEQ, make_example, make_frac
+from conftest import (EXPECTED_UNIT, INTEGER_FIELD_CASES, REPLAY_SEQ, instance_dict_with,
+                      make_example, make_frac)
 
 
 @pytest.fixture()
@@ -359,6 +360,30 @@ class TestBadInput:
         self.assert_clean_error(run(["solve", "--algo", "indep", "--in", fixture_files["inst"],
                                      "--frac", str(bad)]), capsys)
 
+    @pytest.mark.parametrize("entry", [0.9, 1.0, True, "1", 2 ** 70])
+    def test_solution_entry_not_integer(self, fixture_files, tmp_path, capsys, entry):
+        # int64 conversion reads the first four as item 0 or 1 and overflows on the last
+        bad = tmp_path / "sol.json"
+        core.dump_json({"assign": [[4, entry, 2]] + [[0, 1, 2]] * 3}, bad)
+        self.assert_clean_error(run(["eval", "--in", fixture_files["inst"],
+                                     "--sol", str(bad)]), capsys)
+
+    @pytest.mark.parametrize("field,value", INTEGER_FIELD_CASES)
+    def test_instance_integer_field_not_integer(self, tmp_path, capsys, field, value):
+        bad = tmp_path / "inst.json"
+        core.dump_json(instance_dict_with(field, value), bad)
+        self.assert_clean_error(run(["solve", "--algo", "per", "--in", str(bad)]), capsys)
+
+    @pytest.mark.parametrize("key,value", [("c", False), ("s", 2.0)])  # first step: c=0, s=2
+    def test_sequence_entry_not_integer(self, fixture_files, tmp_path, capsys, key, value):
+        seq = [{"c": c, "s": s, "alpha": a} for c, s, a in REPLAY_SEQ]
+        seq[0][key] = value
+        bad = tmp_path / "seq.json"
+        core.dump_json(seq, bad)
+        self.assert_clean_error(run(["replay", "--in", fixture_files["inst"],
+                                     "--frac", fixture_files["frac"], "--seq", str(bad),
+                                     "--out", str(tmp_path / "x.json")]), capsys)
+
     def test_sequence_entry_without_alpha(self, fixture_files, tmp_path, capsys):
         bad = tmp_path / "seq.json"
         core.dump_json([{"c": 0, "s": 0}], bad)
@@ -397,6 +422,36 @@ class TestFracCommand:
         frac.check()
 
 
+def _subprocess_env() -> dict:
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    src = str(Path(cd.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+class TestClosedPipe:
+    """A reader that exits early (``codisplay eval ... | head -1``) ends the
+    command with exit 1 and no traceback."""
+
+    @pytest.mark.parametrize("command", ["eval", "compare"])
+    def test_no_traceback(self, fixture_files, tmp_path, command):
+        sol = str(tmp_path / "sol.json")
+        assert run(["solve", "--algo", "per", "--in", fixture_files["inst"], "--out", sol]) == 0
+        argv = {"eval": ["eval", "--in", fixture_files["inst"], "--sol", sol],
+                "compare": ["compare", "--in", fixture_files["inst"], "--algos", "per,group",
+                            "--seeds", "0..9"]}[command]
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "codisplay.cli", *argv],
+                                  stdout=write_end, stderr=subprocess.PIPE, text=True,
+                                  env=_subprocess_env(), timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr, proc.stderr
+
+
 # Runs CLI commands in a fresh interpreter and reports which of them left
 # scipy unloaded; argv lists arrive as JSON on stdin.
 _COLD_START = """
@@ -429,11 +484,9 @@ class TestLazyScipyImport:
             ["export", "--in", inst, "--out", str(tmp_path / "full.lp")],
             ["frac", "--in", inst, "--out", str(tmp_path / "frac.json")],
         ]
-        src = str(Path(cd.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-c", _COLD_START], input=json.dumps(commands),
-                              capture_output=True, text=True, env=env, timeout=120)
+                              capture_output=True, text=True, env=_subprocess_env(),
+                              timeout=120)
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout.strip().splitlines()[-1])
         assert report == [["gen", False], ["solve", False], ["solve", False], ["eval", False],

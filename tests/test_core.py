@@ -15,7 +15,9 @@ from codisplay.core import DomainError, StructuralError, objective_parts
 from conftest import (
     DETERMINISTIC_TABLE,
     EXPECTED_UNIT,
+    INTEGER_FIELD_CASES,
     RANDOMIZED_TABLE,
+    instance_dict_with,
     make_example,
     random_suite,
 )
@@ -412,6 +414,16 @@ class TestJsonRoundTrip:
     def test_instance_missing_keys_structural(self, d):
         with pytest.raises(StructuralError):
             cd.core.instance_from_dict(d)
+
+    @pytest.mark.parametrize("field,value", INTEGER_FIELD_CASES)
+    def test_instance_integer_fields_strict(self, field, value):
+        with pytest.raises(StructuralError, match="must be an integer"):
+            cd.core.instance_from_dict(instance_dict_with(field, value))
+
+    @pytest.mark.parametrize("entry", [0.9, 1.0, True, "1"])
+    def test_config_entries_strict(self, entry):
+        with pytest.raises(StructuralError, match="must be an integer"):
+            cd.core.config_from_dict({"assign": [[4, entry, 2]] + [[0, 1, 2]] * 3})
 
     def test_config_missing_assign_structural(self):
         with pytest.raises(StructuralError):

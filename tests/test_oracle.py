@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 import codisplay as cd
+from codisplay import oracle
 from codisplay.core import DomainError
 from codisplay.oracle import OracleSizeError
 
 from conftest import EXPECTED_UNIT, make_example, random_suite
+from dfs_oracle import dfs_search
 
 
 class TestBruteForce:
@@ -95,6 +97,90 @@ class TestBruteForceSt:
     def test_requires_st(self, example):
         with pytest.raises(DomainError):
             cd.brute_force_st(example)
+
+
+def _both_searches(monkeypatch, solve):
+    """The (configuration, value) of ``solve()`` with the block search and
+    with the depth-first reference behind it."""
+    block = solve()
+    monkeypatch.setattr(oracle, "_search", dfs_search)
+    ref = solve()
+    monkeypatch.undo()
+    return block, ref
+
+
+def _assert_same(block, ref):
+    assert np.array_equal(block[0].assign, ref[0].assign)
+    assert block[1] == ref[1]  # bit-identical, not approximately equal
+
+
+# (n, m, k, d_tel, cap): plain rungs have no teleportation parameters; (2,8,4)
+# puts P = 1680 rows behind one user, (5,4,2) splits into several prefixes
+LADDER = [
+    (1, 5, 2, None, None), (2, 8, 4, None, None), (3, 4, 2, None, None),
+    (4, 5, 2, None, None), (5, 4, 2, None, None), (3, 3, 1, None, None),
+    (1, 5, 2, 0.5, 1), (2, 8, 4, 0.5, 1), (3, 4, 2, 0.5, 1), (4, 5, 2, 0.5, 2),
+    (4, 3, 3, 0.2, 2), (5, 4, 2, 0.3, 2), (4, 5, 2, 0.0, 4),
+]
+
+
+class TestSearchMatchesDfs:
+    """The block search returns the configuration and the value of the
+    depth-first reference in ``tests/dfs_oracle.py``, to the bit."""
+
+    @pytest.mark.parametrize("n,m,k,d_tel,cap", LADDER)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_ladder(self, monkeypatch, n, m, k, d_tel, cap, seed):
+        inst = cd.gen_random(n, m, k, edge_prob=0.7, seed=100 * n + seed, d_tel=d_tel, m_cap=cap)
+        if cap is not None:
+            _assert_same(*_both_searches(monkeypatch, lambda: cd.brute_force_st(inst)))
+        else:
+            for mode in ("canonical", "unit_sum"):
+                _assert_same(*_both_searches(monkeypatch, lambda: cd.brute_force(inst, mode)))
+
+    @pytest.mark.parametrize("block", [1, 7, 64, 500])
+    @pytest.mark.parametrize("st", [False, True])
+    def test_small_blocks(self, monkeypatch, block, st):
+        # a small block size splits every shape into many prefixes and row runs
+        inst = cd.gen_random(4, 5, 2, edge_prob=0.7, seed=8, d_tel=0.5 if st else None,
+                             m_cap=2 if st else None)
+        monkeypatch.setattr(oracle, "BLOCK", block)
+        solve = (lambda: cd.brute_force_st(inst)) if st else (lambda: cd.brute_force(inst))
+        _assert_same(*_both_searches(monkeypatch, solve))
+
+    def test_structured_instances(self, monkeypatch):
+        for inst in (cd.gen_lemma1(3, 4, 2), cd.gen_gap_g(3, 2), cd.gen_gap_p(3, 2, eps=0.0)):
+            _assert_same(*_both_searches(monkeypatch, lambda: cd.brute_force(inst, "canonical")))
+
+    @pytest.mark.parametrize("block", [64, oracle.BLOCK])
+    def test_edges_listed_from_the_later_user(self, monkeypatch, block):
+        # an edge (u, v) with u > v is read through the transposed matrix
+        base = cd.gen_random(4, 5, 2, edge_prob=0.8, seed=3, d_tel=0.4, m_cap=2)
+        edges = tuple(cd.Edge(e.v, e.u, e.tau_vu, e.tau_uv) for e in base.edges)
+        inst = cd.Instance(n=4, m=5, k=2, pref=base.pref, edges=edges, lam=0.5, st=base.st)
+        monkeypatch.setattr(oracle, "BLOCK", block)
+        _assert_same(*_both_searches(monkeypatch, lambda: cd.brute_force_st(inst)))
+
+    def test_first_block_of_tied_optima_wins(self, monkeypatch):
+        # user 0 dislikes item 0, everything else is flat: the optima are every
+        # configuration where user 0 avoids item 0.  The first, (1, 2), is
+        # arrangement 5, which lies in the third run of two rows of user 0;
+        # later runs hold more of the tied optima.
+        pref = np.ones((4, 5))
+        pref[0, 0] = 0.0
+        inst = cd.Instance(n=4, m=5, k=2, pref=pref, edges=(), lam=0.5)
+        block, ref = _both_searches(monkeypatch, lambda: cd.brute_force(inst, "unit_sum"))
+        _assert_same(block, ref)
+        assert block[0].assign.tolist() == [[1, 2], [0, 1], [0, 1], [0, 1]]
+
+    @pytest.mark.parametrize("search", [oracle._search, dfs_search])
+    def test_zero_cap_raises(self, search):
+        inst = cd.gen_random(3, 4, 2, edge_prob=0.7, seed=5)
+        arr = oracle._arrangements(inst.m, inst.k)
+        pref_scores = inst.pref[:, arr].sum(axis=2)
+        mats = oracle._edge_matrices(inst, arr, d_tel=None)
+        with pytest.raises(DomainError, match="no feasible configuration"):
+            search(inst, arr, pref_scores, mats, m_cap=0)
 
 
 class TestGenerators:

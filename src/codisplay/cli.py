@@ -26,14 +26,17 @@ def _load_frac(path) -> FractionalSolution:
     if isinstance(d, dict) and "x" not in d:
         raise core.StructuralError(f"{path}: missing key 'x'")
     x = d["x"] if isinstance(d, dict) else d
-    return FractionalSolution(x=core.array_field(x, float, f"{path}: x"))
+    frac = FractionalSolution(x=core.array_field(x, float, f"{path}: x"))
+    frac.check()
+    return frac
 
 
 def _load_sequence(path) -> list[rounding.FocalParams]:
     seq = core.load_json(path)
     try:
         return [rounding.FocalParams(core.int_field(f["c"], f"{path}: c"),
-                                     core.int_field(f["s"], f"{path}: s"), float(f["alpha"]))
+                                     core.int_field(f["s"], f"{path}: s"),
+                                     core.float_field(f["alpha"], f"{path}: alpha"))
                 for f in seq]
     except (KeyError, TypeError) as exc:
         raise core.StructuralError(f"{path}: bad focal-parameter entry ({exc})") from None
@@ -59,11 +62,10 @@ def _solve_st(work: Instance) -> FractionalSolution:
     return lp.frac_from_full_result(res, work)
 
 
-def _fractional_for(inst: Instance, args, st: bool) -> FractionalSolution:
-    if getattr(args, "frac", None):
-        frac = _load_frac(args.frac)
-        frac.check()
-        return frac
+def _fractional_for(inst: Instance, path, st: bool) -> FractionalSolution:
+    """The factors in the file at ``path`` or, without one, the relaxation's."""
+    if path:
+        return _load_frac(path)
     work = _work_instance(inst)
     if st:
         return _solve_st(work)
@@ -71,92 +73,85 @@ def _fractional_for(inst: Instance, args, st: bool) -> FractionalSolution:
     return frac
 
 
-def _run_algo(inst: Instance, algo: str, args,
-              frac: FractionalSolution | None = None) -> tuple[np.ndarray, dict]:
+LP_ALGOS = frozenset({"avg", "avgd", "indep", "avg-st", "avgd-st"})  # round the factors
+SEED_FREE = frozenset({"avgd", "avgd-st", "per", "group", "sub-friend", "oracle"})
+
+
+def _run_algo(inst: Instance, algo: str, frac: FractionalSolution | None = None,
+              seed: int | None = 0, sampler: str = "uniform", r: float = 0.25,
+              repeats: int = 1, groups: int = 2,
+              partition: list[list[int]] | None = None) -> tuple[np.ndarray, dict]:
     """Returns (assignment, info).  The assignment may be infeasible for indep.
 
-    ``frac`` is the relaxation's factors when the caller already holds them;
-    otherwise the LP-based algorithms load or solve them here.
+    The algorithms in ``LP_ALGOS`` round ``frac``; ``sub-*`` split the users
+    into ``partition`` or, without one, into ``groups`` automatic groups.
     """
     info: dict = {"algo": algo}
-    seed = getattr(args, "seed", 0)
-    sampler = getattr(args, "sampler", "uniform")
-    r = getattr(args, "r", 0.25)
-    if algo in ("avg", "avgd", "indep", "avg-st", "avgd-st"):
-        work = _work_instance(inst)
-        if frac is None:
-            frac = _fractional_for(inst, args, st=algo.endswith("-st"))
-        if algo == "avg":
-            repeats = getattr(args, "repeats", 1) or 1
-            if repeats > 1:
-                cfg = rounding.best_of(work, frac, seeds=range(seed, seed + repeats),
-                                       sampler=sampler)
-                info["repeats"] = repeats
-            else:
-                stats: dict = {}
-                cfg = rounding.avg(work, frac, rng_seed=seed, sampler=sampler,
-                                   stats=stats)
-                info["diagnostics"] = stats
-                info["iterations"] = stats.get("iterations")
-            info.update(seed=seed, sampler=sampler)
-            return cfg.assign, info
-        if algo == "avgd":
-            trace: list = []
-            cfg = rounding.avgd(work, frac, r=r, trace=trace)
-            info.update(r=r, iterations=len(trace))
-            return cfg.assign, info
-        if algo == "indep":
-            raw = baselines.independent_rounding(work, frac, rng_seed=seed)
-            info.update(seed=seed)
-            return raw.assign, info
+    work = _work_instance(inst) if algo in LP_ALGOS else inst
+    if algo == "avg":
+        if repeats > 1:
+            cfg = rounding.best_of(work, frac, seeds=range(seed, seed + repeats),
+                                   sampler=sampler)
+            info["repeats"] = repeats
+        else:
+            stats: dict = {}
+            cfg = rounding.avg(work, frac, rng_seed=seed, sampler=sampler, stats=stats)
+            info.update(diagnostics=stats, iterations=stats.get("iterations"))
+        info.update(seed=seed, sampler=sampler)
+        return cfg.assign, info
+    if algo == "avgd":
+        trace: list = []
+        cfg = rounding.avgd(work, frac, r=r, trace=trace)
+        info.update(r=r, iterations=len(trace))
+        return cfg.assign, info
+    if algo == "indep":
+        info.update(seed=seed)
+        return baselines.independent_rounding(work, frac, rng_seed=seed).assign, info
+    if algo in ("avg-st", "avgd-st"):
         deterministic = algo == "avgd-st"
         cfg = rounding.avg_st(work, frac, rng_seed=seed, sampler=sampler,
                               deterministic=deterministic, r=r)
         info.update(seed=seed, deterministic=deterministic)
-        if deterministic:
-            info["r"] = r
-        else:
-            info["sampler"] = sampler
+        info.update({"r": r} if deterministic else {"sampler": sampler})
         return cfg.assign, info
     if algo == "per":
         return baselines.per_topk(inst).assign, info
     if algo == "group":
         return baselines.group_topk(inst).assign, info
     if algo in ("sub-friend", "sub-pref"):
-        if getattr(args, "partition", None):
-            partition = _load_partition(args.partition)
-        else:
+        if partition is None:
             mode = "friendship" if algo == "sub-friend" else "preference"
-            partition = baselines.auto_partition(inst, mode, getattr(args, "groups", 2),
-                                                 seed=seed)
+            partition = baselines.auto_partition(inst, mode, groups, seed=seed)
         info["partition"] = [list(map(int, p)) for p in partition]
         return baselines.subgroup_static(inst, partition).assign, info
     if algo == "oracle":
-        if inst.st is not None:
-            cfg, _ = oracle.brute_force_st(inst)
-        else:
-            cfg, _ = oracle.brute_force(inst, mode="canonical")
+        cfg, _ = (oracle.brute_force_st(inst) if inst.st is not None
+                  else oracle.brute_force(inst, mode="canonical"))
         return cfg.assign, info
     raise DomainError(f"unknown algorithm {algo!r}")
 
 
-def _objectives(inst: Instance, assign: np.ndarray) -> tuple[float, float, bool, int]:
-    """(canonical, unit_sum, feasible, violation count).
+def _report(inst: Instance, assign: np.ndarray) -> dict:
+    """The `core.metrics` report of a feasible assignment, under ``feasible``.
 
-    Teleportation instances report the discounted objective for feasible
-    assignments; infeasible (raw) assignments get the plain parts.
+    An infeasible (raw) assignment gets its violation count and the plain
+    objectives: no teleportation discount, no other metric.
     """
     violations = core.validate(RawAssignment(assign=assign), inst)
-    d_tel = inst.st.d_tel if inst.st is not None and not violations else 0.0
-    parts = core.objective_parts(inst, assign, d_tel)
-    return (core.objective_value(inst, *parts, "canonical"),
-            core.objective_value(inst, *parts, "unit_sum"),
-            not violations, len(violations))
+    if not violations:
+        return {"feasible": True, **core.metrics(inst, Configuration(assign=assign)).to_dict()}
+    parts = core.objective_parts(inst, assign, 0.0)
+    return {
+        "feasible": False,
+        "violations": len(violations),
+        "objective_canonical": core.objective_value(inst, *parts, "canonical"),
+        "objective_unit_sum": core.objective_value(inst, *parts, "unit_sum"),
+    }
 
 
-def _summary(algo: str, mode: str, canonical: float, unit: float,
-             runtime_ms: float, seed) -> str:
-    return f"{algo},{mode},{canonical:.9g},{unit:.9g},{runtime_ms:.1f},{seed}"
+def _summary(algo: str, mode: str, rep: dict, runtime_ms: float, seed) -> str:
+    return (f"{algo},{mode},{rep['objective_canonical']:.9g},"
+            f"{rep['objective_unit_sum']:.9g},{runtime_ms:.1f},{seed}")
 
 
 # ---------------------------------------------------------------------------
@@ -183,24 +178,31 @@ def cmd_gen(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    if args.repeats < 1:
+        raise DomainError(f"--repeats must be >= 1, got {args.repeats}")
     inst = core.instance_from_dict(core.load_json(args.infile))
     t0 = time.perf_counter()
-    assign, info = _run_algo(inst, args.algo, args)
+    frac = (_fractional_for(inst, args.frac, st=args.algo.endswith("-st"))
+            if args.algo in LP_ALGOS else None)
+    partition = _load_partition(args.partition) if args.partition else None
+    assign, info = _run_algo(inst, args.algo, frac, seed=args.seed, sampler=args.sampler,
+                             r=args.r, repeats=args.repeats, groups=args.groups,
+                             partition=partition)
     runtime_ms = (time.perf_counter() - t0) * 1000.0
-    canonical, unit, feasible, nviol = _objectives(inst, assign)
+    rep = _report(inst, assign)
     mode = info.get("sampler") or (f"r={info['r']}" if "r" in info else "-")
     sol = {
         "assign": assign.tolist(),
-        "feasible": feasible,
-        "violations": nviol,
-        "objective_canonical": canonical,
-        "objective_unit_sum": unit,
+        "feasible": rep["feasible"],
+        "violations": rep.get("violations", 0),
+        "objective_canonical": rep["objective_canonical"],
+        "objective_unit_sum": rep["objective_unit_sum"],
         "runtime_ms": runtime_ms,
         **info,
     }
     if args.out:
         core.dump_json(sol, args.out)
-    print(_summary(args.algo, mode, canonical, unit, runtime_ms, info.get("seed", "-")))
+    print(_summary(args.algo, mode, rep, runtime_ms, info.get("seed", "-")))
     return 0
 
 
@@ -208,19 +210,18 @@ def cmd_replay(args) -> int:
     inst = core.instance_from_dict(core.load_json(args.infile))
     work = _work_instance(inst)
     frac = _load_frac(args.frac)
-    frac.check()
     seq = _load_sequence(args.seq)
     cfg = rounding.avg_replay(work, frac, seq)
-    canonical, unit, feasible, nviol = _objectives(inst, cfg.assign)
+    rep = _report(inst, cfg.assign)
     core.dump_json({
         "assign": cfg.assign.tolist(),
-        "feasible": feasible,
-        "objective_canonical": canonical,
-        "objective_unit_sum": unit,
+        "feasible": rep["feasible"],
+        "objective_canonical": rep["objective_canonical"],
+        "objective_unit_sum": rep["objective_unit_sum"],
         "algo": "replay",
         "steps": len(seq),
     }, args.out)
-    print(_summary("replay", f"steps={len(seq)}", canonical, unit, 0.0, "-"))
+    print(_summary("replay", f"steps={len(seq)}", rep, 0.0, "-"))
     return 0
 
 
@@ -232,18 +233,7 @@ def cmd_eval(args) -> int:
     assign = core.array_field(sol["assign"], np.int64, f"{args.sol}: assign")
     if assign.size and (assign.min() < 0 or assign.max() >= inst.m):
         raise core.StructuralError(f"{args.sol}: assign holds an item outside [0, {inst.m})")
-    # a feasible assignment is validated and scored once, by core.metrics
-    if not core.validate(RawAssignment(assign=assign), inst):
-        report = {"feasible": True, **core.metrics(inst, Configuration(assign=assign)).to_dict()}
-    else:
-        canonical, unit, _, nviol = _objectives(inst, assign)
-        report = {
-            "feasible": False,
-            "violations": nviol,
-            "objective_canonical": canonical,
-            "objective_unit_sum": unit,
-        }
-    text = json.dumps(report, indent=1, sort_keys=True)
+    text = json.dumps(_report(inst, assign), indent=1, sort_keys=True)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -258,24 +248,21 @@ _COMPARE_METRIC_FIELDS = [
 ]
 
 
-def _compare_cell(payload):
+def _compare_cell(payload) -> list:
+    """The objective, runtime_ms and metric columns of one run of an algorithm."""
     inst, algo, seed, groups, frac = payload
-    ns = argparse.Namespace(seed=seed, sampler="uniform", r=0.25, repeats=1,
-                            partition=None, frac=None, groups=groups)
     t0 = time.perf_counter()
-    assign, _ = _run_algo(inst, algo, ns, frac)
+    assign, _ = _run_algo(inst, algo, frac, seed=seed, groups=groups)
     runtime_ms = (time.perf_counter() - t0) * 1000.0
-    if not core.validate(RawAssignment(assign=assign), inst):
-        rep = core.metrics(inst, Configuration(assign=assign)).to_dict()
-        canonical, unit = rep["objective_canonical"], rep["objective_unit_sum"]
-        metric_row = [rep[f] for f in _COMPARE_METRIC_FIELDS]
-    else:
-        canonical, unit, _, _ = _objectives(inst, assign)
-        metric_row = [""] * len(_COMPARE_METRIC_FIELDS)
-    return [algo, seed, f"{canonical:.9g}", f"{unit:.9g}", f"{runtime_ms:.1f}"] + metric_row
+    rep = _report(inst, assign)
+    # an infeasible assignment's report has no metrics: those cells stay blank
+    return ([f"{rep['objective_canonical']:.9g}", f"{rep['objective_unit_sum']:.9g}",
+             f"{runtime_ms:.1f}"] + [rep.get(f, "") for f in _COMPARE_METRIC_FIELDS])
 
 
 def cmd_compare(args) -> int:
+    if args.jobs < 1:
+        raise DomainError(f"--jobs must be >= 1, got {args.jobs}")
     inst = core.instance_from_dict(core.load_json(args.infile))
     algos = [a for a in args.algos.split(",") if a]
     seeds = _parse_seeds(args.seeds)
@@ -287,21 +274,24 @@ def cmd_compare(args) -> int:
     header = (["algo", "seed", "objective_canonical", "objective_unit_sum", "runtime_ms"]
               + _COMPARE_METRIC_FIELDS
               + ["lp_bound_unit_sum", "lp_bound_canonical"])
-    cells = [(inst, algo, seed, args.groups,
-              st_frac if algo.endswith("-st") else frac)
-             for algo in algos for seed in seeds]
+    # a row per (algo, seed); each distinct cell runs once, and a SEED_FREE
+    # algorithm's one run (seed None) fills its rows for every seed
+    rows = [(a, s, (a, None if a in SEED_FREE else s)) for a in algos for s in seeds]
+    keys = list(dict.fromkeys(key for _, _, key in rows))
+    cells = [(inst, algo, seed, args.groups, st_frac if algo.endswith("-st") else frac)
+             for algo, seed in keys]
     if args.jobs > 1 and cells:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_compare_cell, cells))
+            columns = dict(zip(keys, pool.map(_compare_cell, cells)))
     else:
-        rows = [_compare_cell(c) for c in cells]
+        columns = {key: _compare_cell(cell) for key, cell in zip(keys, cells)}
     bound_cols = [f"{lp_bound:.9g}", f"{inst.lam * lp_bound:.9g}"]
     out = sys.stdout if not args.out else open(args.out, "w", newline="")
     try:
         writer = csv.writer(out)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(row + bound_cols)
+        for algo, seed, key in rows:
+            writer.writerow([algo, seed] + columns[key] + bound_cols)
     finally:
         if args.out:
             out.close()
@@ -340,7 +330,7 @@ def cmd_export(args) -> int:
 def cmd_frac(args) -> int:
     """Solve the relaxation and write the per-slot factors to a file."""
     inst = core.instance_from_dict(core.load_json(args.infile))
-    frac = _fractional_for(inst, args, st=args.model == "st")
+    frac = _fractional_for(inst, args.frac, st=args.model == "st")
     _write_frac(frac, args.out)
     print(f"frac,{args.model},shape={frac.x.shape}")
     return 0

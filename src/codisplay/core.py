@@ -490,17 +490,27 @@ def int_field(value, what: str) -> int:
     return value
 
 
+def float_field(value, what: str) -> float:
+    """A parsed JSON number as a float; a bool or a string is a StructuralError
+    rather than being converted."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise StructuralError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def array_field(value, dtype, what: str) -> np.ndarray:
     """A parsed JSON list as an array; a ragged or non-numeric list is a
-    StructuralError rather than numpy's ValueError.  An integer array takes
-    integer entries only, each read by `int_field`."""
+    StructuralError rather than numpy's ValueError.  Each entry is read by
+    `int_field` for an integer array and by `float_field` otherwise."""
     try:
         arr = np.asarray(value, dtype=dtype)
     except (ValueError, TypeError, OverflowError) as exc:
         raise StructuralError(f"{what} is not a rectangular numeric array ({exc})") from None
-    if arr.dtype.kind == "i":
-        for x in np.asarray(value, dtype=object).flat:
-            int_field(x, f"{what} entry")
+    field, types = (int_field, {int}) if arr.dtype.kind == "i" else (float_field, {int, float})
+    entries = np.asarray(value, dtype=object).ravel().tolist()
+    if not set(map(type, entries)) <= types:  # the reader names the first bad entry
+        for x in entries:
+            field(x, f"{what} entry")
     return arr
 
 
@@ -527,7 +537,8 @@ def instance_from_dict(d: dict) -> Instance:
     try:
         st = None
         if d.get("st") is not None:
-            st = StParams(d_tel=float(d["st"]["d_tel"]), M=int_field(d["st"]["M"], "M"))
+            st = StParams(d_tel=float_field(d["st"]["d_tel"], "d_tel"),
+                          M=int_field(d["st"]["M"], "M"))
         edges = [
             Edge(int_field(e["u"], "edge u"), int_field(e["v"], "edge v"),
                  array_field(e["tau_uv"], float, "tau_uv"),
@@ -535,7 +546,7 @@ def instance_from_dict(d: dict) -> Instance:
             for e in d.get("edges", [])
         ]
         sizes = tuple(int_field(d[key], key) for key in ("n", "m", "k"))
-        pref, lam = array_field(d["pref"], float, "pref"), float(d["lambda"])
+        pref, lam = array_field(d["pref"], float, "pref"), float_field(d["lambda"], "lambda")
     except (KeyError, TypeError) as exc:
         raise StructuralError(f"instance is missing or has a malformed field ({exc})") from None
     n, m, k = sizes

@@ -161,33 +161,31 @@ def _search(inst: Instance, arr: np.ndarray, pref_scores: np.ndarray,
     return best_choice, best_val
 
 
-def brute_force(inst: Instance, mode: str = "unit_sum") -> tuple[Configuration, float]:
-    """Exhaustive optimum over all feasible configurations."""
-    if mode == "canonical":
-        wp, ws = 1.0 - inst.lam, inst.lam
-    elif mode == "unit_sum":
-        wp, ws = 1.0, 1.0
-    else:
-        raise DomainError(f"unknown objective mode {mode!r}")
+def _optimum(inst: Instance, wp: float, ws: float, d_tel: float | None,
+             m_cap: int | None) -> tuple[Configuration, float]:
+    """Exhaustive optimum of ``wp`` * preference + ``ws`` * social value."""
     _guard(inst)
     arr = _arrangements(inst.m, inst.k)
     pref_scores = wp * inst.pref[:, arr].sum(axis=2)  # (n, P)
-    mats = [ws * m for m in _edge_matrices(inst, arr, d_tel=None)]
-    choice, value = _search(inst, arr, pref_scores, mats, m_cap=None)
+    mats = [ws * m for m in _edge_matrices(inst, arr, d_tel)]
+    choice, value = _search(inst, arr, pref_scores, mats, m_cap)
     return Configuration(assign=arr[choice]), value
+
+
+def brute_force(inst: Instance, mode: str = "unit_sum") -> tuple[Configuration, float]:
+    """Exhaustive optimum over all feasible configurations."""
+    if mode == "canonical":
+        return _optimum(inst, 1.0 - inst.lam, inst.lam, None, None)
+    if mode == "unit_sum":
+        return _optimum(inst, 1.0, 1.0, None, None)
+    raise DomainError(f"unknown objective mode {mode!r}")
 
 
 def brute_force_st(inst: Instance) -> tuple[Configuration, float]:
     """Exhaustive optimum of the teleportation objective under the size cap."""
     if inst.st is None:
         raise DomainError("instance has no teleportation parameters")
-    _guard(inst)
-    wp, ws = 1.0 - inst.lam, inst.lam
-    arr = _arrangements(inst.m, inst.k)
-    pref_scores = wp * inst.pref[:, arr].sum(axis=2)
-    mats = [ws * m for m in _edge_matrices(inst, arr, d_tel=inst.st.d_tel)]
-    choice, value = _search(inst, arr, pref_scores, mats, m_cap=inst.st.M)
-    return Configuration(assign=arr[choice]), value
+    return _optimum(inst, 1.0 - inst.lam, inst.lam, inst.st.d_tel, inst.st.M)
 
 
 # ---------------------------------------------------------------------------

@@ -246,7 +246,28 @@ class TestCompare:
                             lambda *a, **kw: calls.append(1) or real(*a, **kw))
         assert run(["compare", "--in", fixture_files["inst"], "--algos", "per,group,avgd",
                     "--seeds", "0,1", "--out", str(tmp_path / "c.csv")]) == 0
-        assert len(calls) == 6  # one per cell, all feasible
+        assert len(calls) == 3  # one per distinct cell, all feasible; each is seed-free
+
+    def test_seed_free_cell_runs_once_per_table(self, fixture_files, tmp_path, monkeypatch):
+        runs = []
+        real = cli._run_algo
+        monkeypatch.setattr(cli, "_run_algo",
+                            lambda inst, algo, *a, **kw: runs.append(algo)
+                            or real(inst, algo, *a, **kw))
+        out = tmp_path / "c.csv"
+        algos = ["avg", "avgd", "indep", "per", "group", "sub-friend", "sub-pref"]
+        assert run(["compare", "--in", fixture_files["inst"], "--algos", ",".join(algos),
+                    "--seeds", "0..2", "--out", str(out)]) == 0
+        assert sorted(runs) == sorted(a for a in algos for _ in (
+            range(1) if a in cli.SEED_FREE else range(3)))
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["algo"], r["seed"]) for r in rows] == [
+            (a, str(s)) for a in algos for s in range(3)]
+        for algo in cli.SEED_FREE & set(algos):
+            same = [{k: v for k, v in r.items() if k != "seed"}
+                    for r in rows if r["algo"] == algo]
+            assert same == same[:1] * 3  # runtime_ms too: the single run's
 
     def test_each_relaxation_solved_once(self, fixture_files, tmp_path, monkeypatch):
         tele = tmp_path / "tele.json"
@@ -383,6 +404,64 @@ class TestBadInput:
         self.assert_clean_error(run(["replay", "--in", fixture_files["inst"],
                                      "--frac", fixture_files["frac"], "--seq", str(bad),
                                      "--out", str(tmp_path / "x.json")]), capsys)
+
+    @pytest.mark.parametrize("field,value", [
+        ("lambda", "0.5"), ("lambda", True), ("pref", True), ("pref", "0.25"),
+        ("tau_uv", "0.1"), ("tau_vu", False), ("d_tel", "0.5")])
+    def test_instance_float_field_not_number(self, tmp_path, capsys, field, value):
+        d = instance_dict_with("M", 2)
+        if field == "pref":
+            d["pref"][0][1] = value
+        elif field == "d_tel":
+            d["st"]["d_tel"] = value
+        elif field == "lambda":
+            d["lambda"] = value
+        else:
+            d["edges"][0][field][0] = value
+        bad = tmp_path / "inst.json"
+        core.dump_json(d, bad)
+        self.assert_clean_error(run(["solve", "--algo", "per", "--in", str(bad)]), capsys)
+
+    def test_instance_integer_in_float_field(self, tmp_path):
+        d = core.instance_to_dict(make_example())
+        d["pref"][0][0] = 1
+        d["lambda"] = 1
+        path = tmp_path / "inst.json"
+        core.dump_json(d, path)
+        inst = core.instance_from_dict(core.load_json(path))
+        assert inst.lam == 1.0 and inst.pref[0, 0] == 1.0
+
+    @pytest.mark.parametrize("step,value", [(0, "0.06"), (0, False)])
+    def test_sequence_alpha_not_number(self, fixture_files, tmp_path, capsys, step, value):
+        # "0.06" is the first step's own threshold, as a string
+        seq = [{"c": c, "s": s, "alpha": a} for c, s, a in REPLAY_SEQ]
+        seq[step]["alpha"] = value
+        bad = tmp_path / "seq.json"
+        core.dump_json(seq, bad)
+        self.assert_clean_error(run(["replay", "--in", fixture_files["inst"],
+                                     "--frac", fixture_files["frac"], "--seq", str(bad),
+                                     "--out", str(tmp_path / "x.json")]), capsys)
+
+    @pytest.mark.parametrize("item,value", [(0, str(1 / 3)), (2, False)])
+    def test_factor_not_number(self, fixture_files, tmp_path, capsys, item, value):
+        # each replaces user 0's factor at slot 0 by the same value as a string or a bool
+        x = make_frac().x.tolist()
+        x[0][item][0] = value
+        bad = tmp_path / "frac.json"
+        core.dump_json({"x": x}, bad)
+        self.assert_clean_error(run(["solve", "--algo", "avgd", "--in", fixture_files["inst"],
+                                     "--frac", str(bad)]), capsys)
+
+    @pytest.mark.parametrize("repeats", ["0", "-3"])
+    def test_repeats_below_one(self, fixture_files, capsys, repeats):
+        self.assert_clean_error(run(["solve", "--algo", "avg", "--repeats", repeats,
+                                     "--in", fixture_files["inst"],
+                                     "--frac", fixture_files["frac"]]), capsys)
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one(self, fixture_files, capsys, jobs):
+        self.assert_clean_error(run(["compare", "--in", fixture_files["inst"],
+                                     "--algos", "per", "--jobs", jobs]), capsys)
 
     def test_sequence_entry_without_alpha(self, fixture_files, tmp_path, capsys):
         bad = tmp_path / "seq.json"

@@ -75,6 +75,15 @@ def _fractional_for(inst: Instance, path, st: bool) -> FractionalSolution:
 
 LP_ALGOS = frozenset({"avg", "avgd", "indep", "avg-st", "avgd-st"})  # round the factors
 SEED_FREE = frozenset({"avgd", "avgd-st", "per", "group", "sub-friend", "oracle"})
+# the algorithms each optional `solve` flag applies to; the defaults are _run_algo's
+SOLVE_FLAGS = {
+    "sampler": {"avg", "avg-st"},
+    "repeats": {"avg"},
+    "r": {"avgd", "avgd-st"},
+    "frac": LP_ALGOS,
+    "groups": {"sub-friend", "sub-pref"},
+    "partition": {"sub-friend", "sub-pref"},
+}
 
 
 def _run_algo(inst: Instance, algo: str, frac: FractionalSolution | None = None,
@@ -178,16 +187,21 @@ def cmd_gen(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    if args.repeats < 1:
+    unused = [f"--{flag}" for flag, algos in SOLVE_FLAGS.items()
+              if getattr(args, flag) is not None and args.algo not in algos]
+    if unused:
+        raise DomainError(f"--algo {args.algo} takes no {', '.join(unused)}")
+    if args.repeats is not None and args.repeats < 1:
         raise DomainError(f"--repeats must be >= 1, got {args.repeats}")
     inst = core.instance_from_dict(core.load_json(args.infile))
     t0 = time.perf_counter()
     frac = (_fractional_for(inst, args.frac, st=args.algo.endswith("-st"))
             if args.algo in LP_ALGOS else None)
     partition = _load_partition(args.partition) if args.partition else None
-    assign, info = _run_algo(inst, args.algo, frac, seed=args.seed, sampler=args.sampler,
-                             r=args.r, repeats=args.repeats, groups=args.groups,
-                             partition=partition)
+    opts = {flag: getattr(args, flag) for flag in ("sampler", "r", "repeats", "groups")
+            if getattr(args, flag) is not None}
+    assign, info = _run_algo(inst, args.algo, frac, seed=args.seed, partition=partition,
+                             **opts)
     runtime_ms = (time.perf_counter() - t0) * 1000.0
     rep = _report(inst, assign)
     mode = info.get("sampler") or (f"r={info['r']}" if "r" in info else "-")
@@ -266,11 +280,16 @@ def cmd_compare(args) -> int:
     inst = core.instance_from_dict(core.load_json(args.infile))
     algos = [a for a in args.algos.split(",") if a]
     seeds = _parse_seeds(args.seeds)
-    work = _work_instance(inst)
     # each relaxation is solved once here and its factors travel with the
-    # cells, so a cell's runtime_ms times the rounding alone
-    frac, lp_bound = lp.solve_fractional(work)
-    st_frac = _solve_st(work) if any(a.endswith("-st") for a in algos) else None
+    # cells, so a cell's runtime_ms times the rounding alone; lambda = 0 has
+    # no relaxation, so its LP-bound cells stay empty
+    frac = st_frac = None
+    bound_cols = ["", ""]
+    if inst.lam > 0 or LP_ALGOS.intersection(algos):
+        work = _work_instance(inst)  # at lambda = 0 an LP algorithm fails as in `solve`
+        frac, lp_bound = lp.solve_fractional(work)
+        st_frac = _solve_st(work) if any(a.endswith("-st") for a in algos) else None
+        bound_cols = [f"{lp_bound:.9g}", f"{inst.lam * lp_bound:.9g}"]
     header = (["algo", "seed", "objective_canonical", "objective_unit_sum", "runtime_ms"]
               + _COMPARE_METRIC_FIELDS
               + ["lp_bound_unit_sum", "lp_bound_canonical"])
@@ -285,7 +304,6 @@ def cmd_compare(args) -> int:
             columns = dict(zip(keys, pool.map(_compare_cell, cells)))
     else:
         columns = {key: _compare_cell(cell) for key, cell in zip(keys, cells)}
-    bound_cols = [f"{lp_bound:.9g}", f"{inst.lam * lp_bound:.9g}"]
     out = sys.stdout if not args.out else open(args.out, "w", newline="")
     try:
         writer = csv.writer(out)
@@ -361,10 +379,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "indep", "oracle", "avg-st", "avgd-st"])
     s.add_argument("--in", dest="infile", required=True)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--sampler", choices=["uniform", "advanced"], default="uniform")
-    s.add_argument("--r", type=float, default=0.25)
-    s.add_argument("--repeats", type=int, default=1)
-    s.add_argument("--groups", type=int, default=2)
+    # None marks a flag as not given: each is checked against SOLVE_FLAGS
+    s.add_argument("--sampler", choices=["uniform", "advanced"], default=None)
+    s.add_argument("--r", type=float, default=None)
+    s.add_argument("--repeats", type=int, default=None)
+    s.add_argument("--groups", type=int, default=None)
     s.add_argument("--partition", default=None)
     s.add_argument("--frac", default=None)
     s.add_argument("--out", default=None)

@@ -52,23 +52,23 @@ class FocalParams:
 class RoundingState:
     """Mutable state of one rounding run.
 
-    Cells are never rewritten once set.  The utility-factor tensor is copied
-    so that the size-capped variant can zero out locked entries without
-    touching the caller's fractional solution.
+    Cells are never rewritten once set.  An (item, slot) subgroup holds at
+    most `limit` users: the size cap, or n, which never binds.  The factors
+    are copied, so zeroing those of a full subgroup leaves the caller's intact.
     """
 
     def __init__(self, inst: Instance, frac: FractionalSolution, cap: Optional[int] = None):
         if frac.x.shape != (inst.n, inst.m, inst.k):
             raise DomainError("fractional solution shape does not match the instance")
-        if cap is not None and (not float(cap).is_integer() or cap < 1):
+        limit = inst.n if cap is None else cap
+        if not float(limit).is_integer() or limit < 1:
             raise DomainError(f"rounding size cap must be an integer >= 1, got {cap}")
         self.inst = inst
         self.x = np.array(frac.x, dtype=float)  # mutable copy
         self.assign = np.full((inst.n, inst.k), -1, dtype=np.int64)
         self.held = np.zeros((inst.n, inst.m), dtype=bool)
         self.counts = np.zeros((inst.m, inst.k), dtype=np.int64)
-        self.locked = np.zeros((inst.m, inst.k), dtype=bool)
-        self.cap = None if cap is None else int(cap)
+        self.limit = int(limit)
         self.unfilled = inst.n * inst.k
         self.diagnostics = {"fallback_cells": 0, "samples": 0, "iterations": 0}
 
@@ -79,15 +79,19 @@ class RoundingState:
     def eligible_users(self, c: int, s: int) -> np.ndarray:
         return np.flatnonzero((self.assign[:, s] < 0) & ~self.held[:, c])
 
+    def room(self, c: int, s: int) -> int:
+        """How many more users the (item c, slot s) subgroup may take."""
+        return self.limit - int(self.counts[c, s])
+
     def xbar(self) -> np.ndarray:
         """(m, k) maximum factor over currently eligible users; 0 when none."""
         empty = self.assign < 0  # (n, k)
         mask = empty[:, None, :] & ~self.held[:, :, None]  # (n, m, k)
-        xb = np.where(mask, self.x, 0.0).max(axis=0)
-        xb[self.locked] = 0.0
-        return xb
+        return np.where(mask, self.x, 0.0).max(axis=0)
 
     def assign_users(self, users: Sequence[int], c: int, s: int) -> None:
+        """Show item c at slot s to `users`; once the subgroup is full, zero
+        the factors of its remaining eligible users so nothing selects it."""
         for u in users:
             if not self.eligible(u, c, s):
                 raise DomainError(f"user {u} is not eligible for item {c} at slot {s}")
@@ -95,6 +99,8 @@ class RoundingState:
             self.held[u, c] = True
             self.counts[c, s] += 1
             self.unfilled -= 1
+        if self.room(c, s) <= 0:
+            self.x[self.eligible_users(c, s), c, s] = 0.0
 
     def to_configuration(self) -> Configuration:
         if self.unfilled:
@@ -107,45 +113,24 @@ class RoundingState:
 def csf_step(state: RoundingState, focal: FocalParams) -> list[int]:
     """Apply one co-display step; returns the users assigned (may be empty).
 
-    Without a cap every eligible user whose factor reaches the threshold is
-    assigned.  With the state's cap, users are added in descending-factor
-    order (ties to the lower index) until the (item, slot) subgroup holds
-    `cap` users; reaching the cap zeroes the remaining eligible factors and
-    locks the pair.  Thresholds compare against the state's working copy of
-    the factors.
+    Every eligible user whose factor reaches the threshold is assigned, up
+    to the room left in the (item, slot) subgroup: beyond it, users are
+    taken in descending-factor order (ties to the lower index).  Without a
+    cap the threshold set always fits.  Thresholds compare against the
+    state's working copy of the factors.
     """
     c, s, alpha = focal.c, focal.s, focal.alpha
-    cap = state.cap
-    if state.locked[c, s]:
+    room = state.room(c, s)
+    if room <= 0:
         return []
     elig = state.eligible_users(c, s)
-    if elig.size == 0:
-        return []
-    vals = state.x[elig, c, s]
-    target = elig[vals >= alpha]
-    if cap is None:
-        chosen = list(target)
-    else:
-        room = cap - int(state.counts[c, s])
-        if room <= 0:
-            _lock(state, c, s)
-            return []
-        if target.size > room:
-            tvals = state.x[target, c, s]
-            order = np.lexsort((target, -tvals))  # factor desc, index asc
-            chosen = list(target[order][:room])
-        else:
-            chosen = list(target)
+    target = elig[state.x[elig, c, s] >= alpha]
+    if target.size > room:
+        order = np.lexsort((target, -state.x[target, c, s]))  # factor desc, index asc
+        target = target[order][:room]
+    chosen = [int(u) for u in target]
     state.assign_users(chosen, c, s)
-    if cap is not None and state.counts[c, s] >= cap:
-        _lock(state, c, s)
-    return [int(u) for u in chosen]
-
-
-def _lock(state: RoundingState, c: int, s: int) -> None:
-    rest = state.eligible_users(c, s)
-    state.x[rest, c, s] = 0.0
-    state.locked[c, s] = True
+    return chosen
 
 
 def _fallback_fill(state: RoundingState) -> int:
@@ -168,18 +153,12 @@ def _fallback_fill(state: RoundingState) -> int:
             if state.x[u, feasible, s].max(initial=0.0) > 0.0:
                 continue
             cand = np.flatnonzero(feasible)
-            if state.cap is not None:
-                open_items = cand[state.counts[cand, s] < state.cap]
-                if open_items.size == 0:
-                    raise DomainError(
-                        f"size cap leaves no feasible item for user {u} at slot {s}"
-                    )
-                cand = open_items
+            cand = cand[state.counts[cand, s] < state.limit]
+            if cand.size == 0:
+                raise DomainError(f"size cap leaves no feasible item for user {u} at slot {s}")
             best = cand[np.lexsort((cand, -ub[u, cand]))[0]]
             state.assign_users([u], int(best), s)
             state.diagnostics["fallback_cells"] += 1
-            if state.cap is not None and state.counts[int(best), s] >= state.cap:
-                _lock(state, int(best), s)
     return unfilled - state.unfilled
 
 
@@ -240,8 +219,6 @@ def sample_focal(state: RoundingState, rng: np.random.Generator,
         c = int(rng.integers(m))
         s = int(rng.integers(k))
         alpha = float(rng.random())
-        if state.locked[c, s]:
-            return None
         elig = state.eligible_users(c, s)
         if elig.size == 0 or state.x[elig, c, s].max(initial=0.0) < alpha:
             return None
@@ -281,14 +258,13 @@ def _adjacency(q: int, pairs: list[tuple[int, int, float]]) -> list[list[tuple[i
 
 
 def _best_prefix(order: np.ndarray, a: np.ndarray, adj: list[list[tuple[int, float]]],
-                 capacity: Optional[int]) -> tuple[float, np.ndarray]:
+                 capacity: int) -> tuple[float, np.ndarray]:
     """Best nonempty prefix of `order` (at most `capacity` users) and its mask."""
     q = a.size
-    limit = q if capacity is None else min(q, capacity)
     chosen = np.zeros(q, dtype=bool)
     best_score, best_mask = -np.inf, None
     score = 0.0
-    for t in range(limit):
+    for t in range(min(q, capacity)):
         u = int(order[t])
         chosen[u] = True
         score += a[u] + sum(b for v, b in adj[u] if chosen[v])
@@ -299,8 +275,9 @@ def _best_prefix(order: np.ndarray, a: np.ndarray, adj: list[list[tuple[int, flo
 
 def _best_subset(a: np.ndarray, pairs: list[tuple[int, int, float]],
                  adj: Optional[list[list[tuple[int, float]]]],
-                 capacity: Optional[int]) -> tuple[float, np.ndarray]:
-    """Maximize sum(a[S]) + sum of pair bonuses inside S over nonempty S.
+                 capacity: int) -> tuple[float, np.ndarray]:
+    """Maximize sum(a[S]) + sum of pair bonuses inside S over nonempty S of
+    at most `capacity` users.
 
     Exact by enumeration up to EXACT_SUBSET_LIMIT users; beyond that, seeded
     from the best descending-score prefix and improved by single-user moves
@@ -315,7 +292,7 @@ def _best_subset(a: np.ndarray, pairs: list[tuple[int, int, float]],
         for i, j, b in pairs:
             scores = scores + b * (bits[:, i] & bits[:, j])
         scores[0] = -np.inf
-        if capacity is not None and capacity < q:
+        if capacity < q:
             scores[sizes > capacity] = -np.inf
         best = int(np.argmax(scores))
         return float(scores[best]), np.flatnonzero(bits[best])
@@ -333,7 +310,7 @@ def _best_subset(a: np.ndarray, pairs: list[tuple[int, int, float]],
                     score -= delta
                     moved = True
             else:
-                if (capacity is None or size < capacity) and delta > _TIE_EPS:
+                if size < capacity and delta > _TIE_EPS:
                     in_set[u] = True
                     size += 1
                     score += delta
@@ -346,17 +323,13 @@ def _best_subset(a: np.ndarray, pairs: list[tuple[int, int, float]],
 def _score_cell(state: RoundingState, c: int, s: int, r: float, loss: np.ndarray,
                 q_es: np.ndarray) -> Optional[tuple[float, np.ndarray]]:
     """avgd's best subgroup of cell (c, s) as (score, users); None when the
-    cell is locked, full or has nobody eligible."""
-    if state.locked[c, s]:
+    cell is full or has nobody eligible."""
+    capacity = state.room(c, s)
+    if capacity <= 0:
         return None
     elig = state.eligible_users(c, s)
     if elig.size == 0:
         return None
-    capacity = None
-    if state.cap is not None:
-        capacity = state.cap - int(state.counts[c, s])
-        if capacity <= 0:
-            return None
     inst = state.inst
     q = elig.size
     a_lin = inst.pref[elig, c] - r * loss[elig, s]
@@ -392,9 +365,9 @@ def avgd(inst: Instance, frac: FractionalSolution, r: float = 0.25,
 
     Cell results are cached across iterations.  A step at (c, s) changes
     only the empty cells of slot s, the users holding item c and, when it
-    locks, the factors x[:, c, s]; a cell (c', s') with c' != c and s' != s
-    therefore keeps its eligible set, linear scores, pair bonuses, capacity
-    and factor order, hence its exact (score, users).  So only the m + k - 1
+    fills the subgroup, the factors x[:, c, s]; a cell (c', s') with c' != c
+    and s' != s therefore keeps its eligible set, linear scores, pair
+    bonuses, room and factor order, hence its exact (score, users).  So only the m + k - 1
     cells of row c and column s are rescored, and a fallback assignment,
     which may touch any cell, rescores all of them.
     """
@@ -454,11 +427,8 @@ def avgd(inst: Instance, frac: FractionalSolution, r: float = 0.25,
                 "f": alg + r * opt_fut,
             })
         state.assign_users([int(u) for u in users], int(c), int(s))
-        if state.cap is not None and state.counts[c, s] >= state.cap:
-            _lock(state, int(c), int(s))
         fresh[c, :] = False
         fresh[:, s] = False
-        state.diagnostics["iterations"] += 1
         it += 1
     return state.to_configuration()
 

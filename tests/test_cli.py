@@ -269,6 +269,38 @@ class TestCompare:
                     for r in rows if r["algo"] == algo]
             assert same == same[:1] * 3  # runtime_ms too: the single run's
 
+    @staticmethod
+    def lambda_zero_file(tmp_path):
+        d = core.instance_to_dict(cd.gen_random(8, 6, 2, edge_prob=0.4, seed=11))
+        d["lambda"] = 0.0
+        path = tmp_path / "lam0.json"
+        core.dump_json(d, path)
+        return str(path)
+
+    def test_lambda_zero_baselines_without_bound(self, tmp_path, capsys):
+        inst = self.lambda_zero_file(tmp_path)
+        assert run(["solve", "--algo", "per", "--in", inst]) == 0
+        per_unit = capsys.readouterr().out.strip().split(",")[3]
+        out = tmp_path / "c.csv"
+        assert run(["compare", "--in", inst, "--algos", "per,group",
+                    "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["algo"] for r in rows] == ["per", "group"]
+        assert rows[0]["objective_unit_sum"] == per_unit
+        assert all(r["lp_bound_unit_sum"] == r["lp_bound_canonical"] == "" for r in rows)
+
+    def test_lambda_zero_lp_algo_fails_as_solve(self, tmp_path, capsys, monkeypatch):
+        inst = self.lambda_zero_file(tmp_path)
+        assert run(["solve", "--algo", "avg", "--in", inst]) == 1
+        solve_err = capsys.readouterr().err
+        runs = []
+        monkeypatch.setattr(cli, "_compare_cell", lambda cell: runs.append(cell))
+        assert run(["compare", "--in", inst, "--algos", "per,avg"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == solve_err and "preference-only" in solve_err
+        assert captured.out == "" and runs == []  # fails before any cell runs
+
     def test_each_relaxation_solved_once(self, fixture_files, tmp_path, monkeypatch):
         tele = tmp_path / "tele.json"
         core.dump_json(core.instance_to_dict(
@@ -457,6 +489,28 @@ class TestBadInput:
         self.assert_clean_error(run(["solve", "--algo", "avg", "--repeats", repeats,
                                      "--in", fixture_files["inst"],
                                      "--frac", fixture_files["frac"]]), capsys)
+
+    @pytest.mark.parametrize("algo,flags,named", [
+        ("per", ["--repeats", "4", "--sampler", "advanced", "--frac", "/nonexistent.json"],
+         "--sampler, --repeats, --frac"),
+        ("avgd", ["--sampler", "uniform"], "--sampler"),
+        ("avg-st", ["--repeats", "2"], "--repeats"),
+        ("avg", ["--r", "0.5"], "--r"),
+        ("sub-friend", ["--frac", "x.json"], "--frac"),
+        ("avgd", ["--groups", "3"], "--groups"),
+        ("oracle", ["--partition", "p.json"], "--partition"),
+    ])
+    def test_flag_unused_by_algo(self, fixture_files, capsys, algo, flags, named):
+        code = run(["solve", "--algo", algo, "--in", fixture_files["inst"]] + flags)
+        err = capsys.readouterr().err
+        assert err == f"error: --algo {algo} takes no {named}\n"
+        assert code == 1
+
+    def test_flags_of_the_algo_accepted(self, fixture_files, capsys):
+        assert run(["solve", "--algo", "avg", "--sampler", "advanced", "--repeats", "2",
+                    "--in", fixture_files["inst"], "--frac", fixture_files["frac"]]) == 0
+        assert run(["solve", "--algo", "sub-pref", "--groups", "2",
+                    "--in", fixture_files["inst"]]) == 0
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one(self, fixture_files, capsys, jobs):

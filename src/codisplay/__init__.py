@@ -12,7 +12,6 @@ from .core import (
     Edge,
     Instance,
     MetricsReport,
-    RawAssignment,
     StParams,
     StructuralError,
     SubgroupPartition,

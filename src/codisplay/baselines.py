@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Configuration, DomainError, Edge, Instance, RawAssignment
+from .core import Configuration, DomainError, Edge, Instance
 from .lp import FractionalSolution
 
 
@@ -71,43 +71,46 @@ def auto_partition(inst: Instance, mode: str, groups: int, seed: int = 0) -> lis
 
 def _friendship_partition(inst: Instance, g: int) -> list[list[int]]:
     """Greedy agglomerative merging maximizing internal edges, sizes capped at
-    ceil(n/g).  Ties prefer the pair with the smaller total degree (attach the
+    ceil(n/g).  Each round merges the first pair that fits in the order of
+    (-links, degree sum, i, j): ties prefer the smaller total degree (attach the
     most constrained vertices first), then lexicographic order."""
     n = inst.n
     cap = math.ceil(n / g)
-    adj = np.zeros((n, n), dtype=np.int64)
-    adj[inst.eu, inst.ev] = adj[inst.ev, inst.eu] = 1
-    deg = adj.sum(axis=1)
+    deg = np.bincount(np.concatenate([inst.eu, inst.ev]), minlength=n)
     clusters: list[list[int]] = [[u] for u in range(n)]
-
-    def between(a: list[int], b: list[int]) -> int:
-        return int(adj[np.ix_(a, b)].sum())
+    label = np.arange(n)  # cluster index of each user; -1 while it is being moved
 
     while len(clusters) > g:
-        best = None
-        for i in range(len(clusters)):
-            for j in range(i + 1, len(clusters)):
-                if len(clusters[i]) + len(clusters[j]) > cap:
-                    continue
-                links = between(clusters[i], clusters[j])
-                degsum = int(deg[clusters[i]].sum() + deg[clusters[j]].sum())
-                key = (-links, degsum, i, j)
-                if best is None or key < best[0]:
-                    best = (key, i, j)
-        if best is not None:
-            _, i, j = best
-            clusters[i] = clusters[i] + clusters[j]
-            del clusters[j]
+        count = len(clusters)
+        size = np.array([len(cl) for cl in clusters])
+        i, j = np.triu_indices(count, 1)
+        fits = size[i] + size[j] <= cap
+        if fits.any():
+            i, j = i[fits], j[fits]
+            links = np.zeros((count, count), dtype=np.int64)
+            np.add.at(links, (label[inst.eu], label[inst.ev]), 1)
+            links += links.T
+            degsum = np.bincount(label, weights=deg, minlength=count)
+            best = np.lexsort((j, i, degsum[i] + degsum[j], -links[i, j]))[0]
+            i, j = int(i[best]), int(j[best])
+            clusters[i] += clusters.pop(j)
+            label[label == j] = i
+            label[label > j] -= 1
             continue
         # no pair fits under the cap: dissolve the smallest cluster into others
-        src = min(range(len(clusters)), key=lambda i: (len(clusters[i]), clusters[i][0]))
+        src = min(range(count), key=lambda c: (len(clusters[c]), clusters[c][0]))
         members = clusters.pop(src)
+        label[members] = -1
+        label[label > src] -= 1
         for u in members:
-            open_idx = [i for i, cl in enumerate(clusters) if len(cl) < cap]
+            open_idx = [c for c, cl in enumerate(clusters) if len(cl) < cap]
             if not open_idx:
                 raise DomainError("cannot rebalance partition under the size cap")
-            tgt = max(open_idx, key=lambda i: (between([u], clusters[i]), -i))
+            friends = label[np.concatenate([inst.ev[inst.eu == u], inst.eu[inst.ev == u]])]
+            links = np.bincount(friends[friends >= 0], minlength=len(clusters))
+            tgt = max(open_idx, key=lambda c: (links[c], -c))
             clusters[tgt].append(u)
+            label[u] = tgt
     clusters = [sorted(cl) for cl in clusters]
     clusters.sort(key=lambda cl: cl[0])
     return clusters
@@ -150,7 +153,8 @@ def _preference_partition(inst: Instance, g: int, seed: int) -> list[list[int]]:
     return clusters
 
 
-def independent_rounding(inst: Instance, frac: FractionalSolution, rng_seed: int = 0) -> RawAssignment:
+def independent_rounding(inst: Instance, frac: FractionalSolution,
+                         rng_seed: int = 0) -> Configuration:
     """Draw every cell independently from its utility-factor distribution.
 
     No feasibility repair is attempted; the result may violate no-duplication.
@@ -165,7 +169,7 @@ def independent_rounding(inst: Instance, frac: FractionalSolution, rng_seed: int
         raise DomainError("a cell has no positive utility factor to sample from")
     draws = rng.random((inst.n, inst.k, 1)) * total
     items = (draws <= cum).argmax(axis=2)
-    return RawAssignment(assign=items)
+    return Configuration(assign=items)
 
 
 def st_prepartition(inst: Instance) -> list[tuple[Instance, np.ndarray]]:

@@ -13,12 +13,8 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from . import baselines, core, lp, oracle, rounding
-from .core import Configuration, DomainError, Instance, RawAssignment
+from .core import Configuration, DomainError, Instance
 from .lp import FractionalSolution
-
-
-def _write_frac(frac: FractionalSolution, path) -> None:
-    core.dump_json({"x": frac.x.tolist()}, path)
 
 
 def _load_frac(path) -> FractionalSolution:
@@ -73,6 +69,8 @@ def _fractional_for(inst: Instance, path, st: bool) -> FractionalSolution:
     return frac
 
 
+ALGOS = ("avg", "avgd", "per", "group", "sub-friend", "sub-pref", "indep", "oracle",
+         "avg-st", "avgd-st")
 LP_ALGOS = frozenset({"avg", "avgd", "indep", "avg-st", "avgd-st"})  # round the factors
 SEED_FREE = frozenset({"avgd", "avgd-st", "per", "group", "sub-friend", "oracle"})
 # the algorithms each optional `solve` flag applies to; the defaults are _run_algo's
@@ -84,13 +82,24 @@ SOLVE_FLAGS = {
     "groups": {"sub-friend", "sub-pref"},
     "partition": {"sub-friend", "sub-pref"},
 }
+# the LP builder of each `export --model`, looked up in `lp` when called, so
+# that a wrapper set on the module attribute is the one that runs
+EXPORT_BUILDERS = {"full": "build_full_lp", "simp": "build_simplified_lp", "st": "build_st_lp"}
+
+
+def _reject_unused(option: str, algos: list[str], given: dict) -> None:
+    """Fail on every given flag (not None) that none of ``algos`` takes."""
+    unused = [f"--{flag}" for flag, value in given.items()
+              if value is not None and not SOLVE_FLAGS[flag].intersection(algos)]
+    if unused:
+        raise DomainError(f"{option} {','.join(algos)} takes no {', '.join(unused)}")
 
 
 def _run_algo(inst: Instance, algo: str, frac: FractionalSolution | None = None,
               seed: int | None = 0, sampler: str = "uniform", r: float = 0.25,
               repeats: int = 1, groups: int = 2,
-              partition: list[list[int]] | None = None) -> tuple[np.ndarray, dict]:
-    """Returns (assignment, info).  The assignment may be infeasible for indep.
+              partition: list[list[int]] | None = None) -> tuple[Configuration, dict]:
+    """Returns (configuration, info).  The configuration may be infeasible for indep.
 
     The algorithms in ``LP_ALGOS`` round ``frac``; ``sub-*`` split the users
     into ``partition`` or, without one, into ``groups`` automatic groups.
@@ -107,49 +116,49 @@ def _run_algo(inst: Instance, algo: str, frac: FractionalSolution | None = None,
             cfg = rounding.avg(work, frac, rng_seed=seed, sampler=sampler, stats=stats)
             info.update(diagnostics=stats, iterations=stats.get("iterations"))
         info.update(seed=seed, sampler=sampler)
-        return cfg.assign, info
+        return cfg, info
     if algo == "avgd":
         trace: list = []
         cfg = rounding.avgd(work, frac, r=r, trace=trace)
         info.update(r=r, iterations=len(trace))
-        return cfg.assign, info
+        return cfg, info
     if algo == "indep":
         info.update(seed=seed)
-        return baselines.independent_rounding(work, frac, rng_seed=seed).assign, info
+        return baselines.independent_rounding(work, frac, rng_seed=seed), info
     if algo in ("avg-st", "avgd-st"):
         deterministic = algo == "avgd-st"
         cfg = rounding.avg_st(work, frac, rng_seed=seed, sampler=sampler,
                               deterministic=deterministic, r=r)
         info.update(seed=seed, deterministic=deterministic)
         info.update({"r": r} if deterministic else {"sampler": sampler})
-        return cfg.assign, info
+        return cfg, info
     if algo == "per":
-        return baselines.per_topk(inst).assign, info
+        return baselines.per_topk(inst), info
     if algo == "group":
-        return baselines.group_topk(inst).assign, info
+        return baselines.group_topk(inst), info
     if algo in ("sub-friend", "sub-pref"):
         if partition is None:
             mode = "friendship" if algo == "sub-friend" else "preference"
             partition = baselines.auto_partition(inst, mode, groups, seed=seed)
         info["partition"] = [list(map(int, p)) for p in partition]
-        return baselines.subgroup_static(inst, partition).assign, info
+        return baselines.subgroup_static(inst, partition), info
     if algo == "oracle":
         cfg, _ = (oracle.brute_force_st(inst) if inst.st is not None
                   else oracle.brute_force(inst, mode="canonical"))
-        return cfg.assign, info
+        return cfg, info
     raise DomainError(f"unknown algorithm {algo!r}")
 
 
-def _report(inst: Instance, assign: np.ndarray) -> dict:
-    """The `core.metrics` report of a feasible assignment, under ``feasible``.
+def _report(inst: Instance, cfg: Configuration) -> dict:
+    """The `core.metrics` report of a feasible configuration, under ``feasible``.
 
-    An infeasible (raw) assignment gets its violation count and the plain
+    An infeasible configuration gets its violation count and the plain
     objectives: no teleportation discount, no other metric.
     """
-    violations = core.validate(RawAssignment(assign=assign), inst)
+    violations = core.validate(cfg, inst)
     if not violations:
-        return {"feasible": True, **core.metrics(inst, Configuration(assign=assign)).to_dict()}
-    parts = core.objective_parts(inst, assign, 0.0)
+        return {"feasible": True, **core.metrics(inst, cfg).to_dict()}
+    parts = core.objective_parts(inst, cfg.assign, 0.0)
     return {
         "feasible": False,
         "violations": len(violations),
@@ -187,10 +196,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    unused = [f"--{flag}" for flag, algos in SOLVE_FLAGS.items()
-              if getattr(args, flag) is not None and args.algo not in algos]
-    if unused:
-        raise DomainError(f"--algo {args.algo} takes no {', '.join(unused)}")
+    _reject_unused("--algo", [args.algo], {flag: getattr(args, flag) for flag in SOLVE_FLAGS})
+    if args.groups is not None and args.partition is not None:
+        raise DomainError(f"--algo {args.algo} takes --groups or --partition, not both")
     if args.repeats is not None and args.repeats < 1:
         raise DomainError(f"--repeats must be >= 1, got {args.repeats}")
     inst = core.instance_from_dict(core.load_json(args.infile))
@@ -200,13 +208,12 @@ def cmd_solve(args) -> int:
     partition = _load_partition(args.partition) if args.partition else None
     opts = {flag: getattr(args, flag) for flag in ("sampler", "r", "repeats", "groups")
             if getattr(args, flag) is not None}
-    assign, info = _run_algo(inst, args.algo, frac, seed=args.seed, partition=partition,
-                             **opts)
+    cfg, info = _run_algo(inst, args.algo, frac, seed=args.seed, partition=partition, **opts)
     runtime_ms = (time.perf_counter() - t0) * 1000.0
-    rep = _report(inst, assign)
+    rep = _report(inst, cfg)
     mode = info.get("sampler") or (f"r={info['r']}" if "r" in info else "-")
     sol = {
-        "assign": assign.tolist(),
+        "assign": cfg.assign.tolist(),
         "feasible": rep["feasible"],
         "violations": rep.get("violations", 0),
         "objective_canonical": rep["objective_canonical"],
@@ -226,7 +233,7 @@ def cmd_replay(args) -> int:
     frac = _load_frac(args.frac)
     seq = _load_sequence(args.seq)
     cfg = rounding.avg_replay(work, frac, seq)
-    rep = _report(inst, cfg.assign)
+    rep = _report(inst, cfg)
     core.dump_json({
         "assign": cfg.assign.tolist(),
         "feasible": rep["feasible"],
@@ -247,7 +254,7 @@ def cmd_eval(args) -> int:
     assign = core.array_field(sol["assign"], np.int64, f"{args.sol}: assign")
     if assign.size and (assign.min() < 0 or assign.max() >= inst.m):
         raise core.StructuralError(f"{args.sol}: assign holds an item outside [0, {inst.m})")
-    text = json.dumps(_report(inst, assign), indent=1, sort_keys=True)
+    text = json.dumps(_report(inst, Configuration(assign=assign)), indent=1, sort_keys=True)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -264,11 +271,11 @@ _COMPARE_METRIC_FIELDS = [
 
 def _compare_cell(payload) -> list:
     """The objective, runtime_ms and metric columns of one run of an algorithm."""
-    inst, algo, seed, groups, frac = payload
+    inst, algo, seed, opts, frac = payload
     t0 = time.perf_counter()
-    assign, _ = _run_algo(inst, algo, frac, seed=seed, groups=groups)
+    cfg, _ = _run_algo(inst, algo, frac, seed=seed, **opts)
     runtime_ms = (time.perf_counter() - t0) * 1000.0
-    rep = _report(inst, assign)
+    rep = _report(inst, cfg)
     # an infeasible assignment's report has no metrics: those cells stay blank
     return ([f"{rep['objective_canonical']:.9g}", f"{rep['objective_unit_sum']:.9g}",
              f"{runtime_ms:.1f}"] + [rep.get(f, "") for f in _COMPARE_METRIC_FIELDS])
@@ -277,8 +284,13 @@ def _compare_cell(payload) -> list:
 def cmd_compare(args) -> int:
     if args.jobs < 1:
         raise DomainError(f"--jobs must be >= 1, got {args.jobs}")
-    inst = core.instance_from_dict(core.load_json(args.infile))
     algos = [a for a in args.algos.split(",") if a]
+    unknown = [a for a in algos if a not in ALGOS]
+    if unknown:
+        raise DomainError(f"unknown algorithm {unknown[0]!r}")
+    _reject_unused("--algos", algos, {"groups": args.groups})
+    opts = {} if args.groups is None else {"groups": args.groups}
+    inst = core.instance_from_dict(core.load_json(args.infile))
     seeds = _parse_seeds(args.seeds)
     # each relaxation is solved once here and its factors travel with the
     # cells, so a cell's runtime_ms times the rounding alone; lambda = 0 has
@@ -297,7 +309,7 @@ def cmd_compare(args) -> int:
     # algorithm's one run (seed None) fills its rows for every seed
     rows = [(a, s, (a, None if a in SEED_FREE else s)) for a in algos for s in seeds]
     keys = list(dict.fromkeys(key for _, _, key in rows))
-    cells = [(inst, algo, seed, args.groups, st_frac if algo.endswith("-st") else frac)
+    cells = [(inst, algo, seed, opts, st_frac if algo.endswith("-st") else frac)
              for algo, seed in keys]
     if args.jobs > 1 and cells:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -329,15 +341,7 @@ def _parse_seeds(text: str) -> list[int]:
 
 def cmd_export(args) -> int:
     inst = core.instance_from_dict(core.load_json(args.infile))
-    work = _work_instance(inst)
-    if args.model == "full":
-        mdl = lp.build_full_lp(work)
-    elif args.model == "simp":
-        mdl = lp.build_simplified_lp(work)
-    elif args.model == "st":
-        mdl = lp.build_st_lp(work)
-    else:
-        raise DomainError(f"unknown model {args.model!r}")
+    mdl = getattr(lp, EXPORT_BUILDERS[args.model])(_work_instance(inst))
     text = lp.export_model(mdl, integrality=args.integrality == "binary")
     with open(args.out, "w") as fh:
         fh.write(text)
@@ -349,7 +353,7 @@ def cmd_frac(args) -> int:
     """Solve the relaxation and write the per-slot factors to a file."""
     inst = core.instance_from_dict(core.load_json(args.infile))
     frac = _fractional_for(inst, args.frac, st=args.model == "st")
-    _write_frac(frac, args.out)
+    core.dump_json({"x": frac.x.tolist()}, args.out)
     print(f"frac,{args.model},shape={frac.x.shape}")
     return 0
 
@@ -374,9 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=cmd_gen)
 
     s = sub.add_parser("solve", help="run one solver on an instance")
-    s.add_argument("--algo", required=True,
-                   choices=["avg", "avgd", "per", "group", "sub-friend", "sub-pref",
-                            "indep", "oracle", "avg-st", "avgd-st"])
+    s.add_argument("--algo", required=True, choices=ALGOS)
     s.add_argument("--in", dest="infile", required=True)
     s.add_argument("--seed", type=int, default=0)
     # None marks a flag as not given: each is checked against SOLVE_FLAGS
@@ -406,14 +408,14 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--in", dest="infile", required=True)
     cp.add_argument("--algos", required=True)
     cp.add_argument("--seeds", default="0")
-    cp.add_argument("--groups", type=int, default=2)
+    cp.add_argument("--groups", type=int, default=None)
     cp.add_argument("--jobs", type=int, default=1)
     cp.add_argument("--out", default=None)
     cp.set_defaults(func=cmd_compare)
 
     ex = sub.add_parser("export", help="write a CPLEX LP-format model file")
     ex.add_argument("--in", dest="infile", required=True)
-    ex.add_argument("--model", choices=["full", "simp", "st"], default="full")
+    ex.add_argument("--model", choices=list(EXPORT_BUILDERS), default="full")
     ex.add_argument("--integrality", choices=["relaxed", "binary"], default="relaxed")
     ex.add_argument("--out", required=True)
     ex.set_defaults(func=cmd_export)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -152,19 +152,11 @@ class Instance:
 
 @dataclass(frozen=True)
 class Configuration:
-    """A feasible assignment: every user sees k pairwise-distinct items."""
+    """An assignment of items to (user, slot) cells.  It is feasible when every
+    user sees k pairwise-distinct items (see `validate`); independent rounding
+    may repeat an item in a user's row."""
 
     assign: np.ndarray  # (n, k) item indices
-
-    def __post_init__(self):
-        object.__setattr__(self, "assign", _frozen_array(self.assign, np.int64))
-
-
-@dataclass(frozen=True)
-class RawAssignment:
-    """Assignment shape produced by independent rounding; duplicates permitted."""
-
-    assign: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "assign", _frozen_array(self.assign, np.int64))
@@ -196,23 +188,10 @@ class MetricsReport:
     st_violation_count: Optional[int] = None
 
     def to_dict(self) -> dict:
-        d = {
-            "objective_canonical": self.objective_canonical,
-            "objective_unit_sum": self.objective_unit_sum,
-            "personal_pct": self.personal_pct,
-            "social_pct": self.social_pct,
-            "inter_pct": self.inter_pct,
-            "intra_pct": self.intra_pct,
-            "normalized_density": self.normalized_density,
-            "codisplay_pct": self.codisplay_pct,
-            "alone_pct": self.alone_pct,
-            "regret_mean": float(np.mean(self.regret)),
-            "regret_max": float(np.max(self.regret)),
-            "regret": list(self.regret),
-            "st_feasible": self.st_feasible,
-            "st_violation_count": self.st_violation_count,
-        }
-        return d
+        """Every field, plus the mean and maximum of the per-user regret."""
+        return {**{f.name: getattr(self, f.name) for f in fields(self)},
+                "regret_mean": float(np.mean(self.regret)),
+                "regret_max": float(np.max(self.regret))}
 
     CSV_FIELDS = (
         "objective_canonical objective_unit_sum personal_pct social_pct inter_pct "
@@ -230,7 +209,7 @@ class MetricsReport:
 # ---------------------------------------------------------------------------
 
 
-def validate(config: Configuration | RawAssignment, inst: Instance) -> list[tuple]:
+def validate(config: Configuration, inst: Instance) -> list[tuple]:
     """Check feasibility; return [] iff config is a valid k-configuration.
 
     Violations are ("index", u, s) for an out-of-range item and
@@ -378,7 +357,7 @@ def optimistic_utility(inst: Instance) -> np.ndarray:
     return ub
 
 
-def st_feasibility(inst: Instance, assignment: Configuration | RawAssignment) -> tuple[bool, int]:
+def st_feasibility(inst: Instance, assignment: Configuration) -> tuple[bool, int]:
     """Count users beyond the subgroup cap M, summed over every (item, slot)."""
     if inst.st is None:
         raise DomainError("instance has no teleportation parameters")
@@ -456,10 +435,7 @@ def metrics(inst: Instance, config: Configuration) -> MetricsReport:
     hap[ok] = achieved[ok] / denom[ok]
     regret = np.clip(1.0 - hap, 0.0, 1.0).tolist()
 
-    st_feasible = None
-    st_violations = None
-    if inst.st is not None:
-        st_feasible, st_violations = st_feasibility(inst, config)
+    st_feasible, st_violations = (None, None) if inst.st is None else st_feasibility(inst, config)
 
     return MetricsReport(
         objective_canonical=canonical,
@@ -564,7 +540,7 @@ def load_json(path) -> dict:
         return json.load(fh)
 
 
-def config_to_dict(config: Configuration | RawAssignment) -> dict:
+def config_to_dict(config: Configuration) -> dict:
     return {"assign": config.assign.tolist()}
 
 

@@ -44,7 +44,6 @@ class LpModel:
     obj: list[float] = field(default_factory=list)
     upper: list[Optional[float]] = field(default_factory=list)
     rows: list[tuple[np.ndarray, np.ndarray, str, float]] = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
 
     def add_vars(self, name: str, shape: tuple[int, ...] = (), obj=0.0,
                  upper: Optional[float] = None) -> np.ndarray:
@@ -244,7 +243,7 @@ def _edge_rows(mdl: LpModel, inst: Instance, y: np.ndarray, x: np.ndarray) -> No
 def _full_lp(inst: Instance, ye_obj: np.ndarray) -> tuple[LpModel, np.ndarray, np.ndarray]:
     """The per-slot model and its ``x`` (n, m, k) and ``xu`` (n, m) blocks."""
     n, m, k, num_edges = inst.n, inst.m, inst.k, inst.num_edges
-    mdl = LpModel(meta={"kind": "full", "n": n, "m": m, "k": k})
+    mdl = LpModel()
     x = mdl.add_vars("x", (n, m, k))
     xu = mdl.add_vars("xu", (n, m), obj=inst.pref)
     y = mdl.add_vars("y", (num_edges, m, k))
@@ -269,7 +268,7 @@ def build_full_lp(inst: Instance) -> LpModel:
 
 def build_simplified_lp(inst: Instance) -> LpModel:
     """Compact slot-free relaxation; optimum equals the full relaxation."""
-    mdl = LpModel(meta={"kind": "simp", "n": inst.n, "m": inst.m, "k": inst.k})
+    mdl = LpModel()
     xu = mdl.add_vars("xu", (inst.n, inst.m), obj=inst.pref, upper=1.0)
     ye = mdl.add_vars("ye", (inst.num_edges, inst.m), obj=inst.w)
     mdl.add_rows(xu, 1.0, "=", float(inst.k))
@@ -289,7 +288,6 @@ def build_st_lp(inst: Instance) -> LpModel:
         raise DomainError("instance has no teleportation parameters")
     d = inst.st.d_tel
     mdl, x, xu = _full_lp(inst, (1.0 - d) * inst.w)
-    mdl.meta["kind"] = "st"
     z = mdl.add_vars("z", (inst.num_edges, inst.m), obj=d * inst.w)
     _edge_rows(mdl, inst, z, xu)
     mdl.add_rows(x.transpose(1, 2, 0), 1.0, "<=", float(inst.st.M))  # size cuts
@@ -379,26 +377,25 @@ def _fmt(v: float) -> str:
     return f"{v:.12g}"
 
 
+def _linear(terms) -> str:
+    """``a x + b y - c z`` from (coefficient, name) pairs."""
+    return " ".join(f"{'+ ' if coef >= 0 else '- '}{_fmt(abs(coef))} {name}"
+                    for coef, name in terms).lstrip("+ ")
+
+
 def export_model(model: LpModel, integrality: bool = False) -> str:
     """Render the model as CPLEX LP-format text."""
+    names = model.var_names
     out = ["Maximize" if model.maximize else "Minimize"]
-    terms = [
-        f"{'+ ' if coef >= 0 else '- '}{_fmt(abs(coef))} {name}"
-        for name, coef in zip(model.var_names, model.obj)
-        if coef != 0.0
-    ]
-    if not terms:
-        terms = [f"+ 0 {model.var_names[0]}"]
-    out.append(" obj: " + " ".join(terms).lstrip("+ "))
+    objective = [(coef, name) for coef, name in zip(model.obj, names) if coef != 0.0]
+    out.append(" obj: " + _linear(objective or [(0.0, names[0])]))
     out.append("Subject To")
     for i, (cols, coefs, sense, rhs) in enumerate(model.rows):
-        parts = []
-        for j, coef in zip(cols, coefs):
-            parts.append(f"{'+ ' if coef >= 0 else '- '}{_fmt(abs(coef))} {model.var_names[j]}")
-        out.append(f" c{i + 1}: " + " ".join(parts).lstrip("+ ") + f" {sense} {_fmt(rhs)}")
+        terms = zip(coefs, (names[j] for j in cols))
+        out.append(f" c{i + 1}: {_linear(terms)} {sense} {_fmt(rhs)}")
     bound_lines = [
         f" 0 <= {name} <= {_fmt(ub)}"
-        for name, ub in zip(model.var_names, model.upper)
+        for name, ub in zip(names, model.upper)
         if ub is not None
     ]
     if bound_lines:
@@ -406,6 +403,6 @@ def export_model(model: LpModel, integrality: bool = False) -> str:
         out.extend(bound_lines)
     if integrality:  # every variable of the assignment program is binary
         out.append("Binary")
-        out.extend(f" {name}" for name in model.var_names)
+        out.extend(f" {name}" for name in names)
     out.append("End")
     return "\n".join(out) + "\n"

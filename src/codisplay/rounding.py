@@ -70,7 +70,6 @@ class RoundingState:
         self.counts = np.zeros((inst.m, inst.k), dtype=np.int64)
         self.limit = int(limit)
         self.unfilled = inst.n * inst.k
-        self.diagnostics = {"fallback_cells": 0, "samples": 0, "iterations": 0}
 
     def eligible(self, u: int, c: int, s: int) -> bool:
         """True iff user u has slot s empty and has never been shown item c."""
@@ -137,7 +136,7 @@ def _fallback_fill(state: RoundingState) -> int:
     """Assign starved cells (no positive factor left) by optimistic utility.
 
     Only reachable after size-cap zeroing, or with degenerate fractional
-    input; counted in diagnostics.  Returns the number of cells assigned.
+    input.  Returns the number of cells assigned.
     """
     inst = state.inst
     open_max = np.where(state.held[:, :, None], 0.0, state.x).max(axis=1)  # (n, k)
@@ -158,7 +157,6 @@ def _fallback_fill(state: RoundingState) -> int:
                 raise DomainError(f"size cap leaves no feasible item for user {u} at slot {s}")
             best = cand[np.lexsort((cand, -ub[u, cand]))[0]]
             state.assign_users([u], int(best), s)
-            state.diagnostics["fallback_cells"] += 1
     return unfilled - state.unfilled
 
 
@@ -182,24 +180,24 @@ def avg(inst: Instance, frac: FractionalSolution, rng_seed: int = 0,
         raise DomainError(f"unknown sampler {sampler!r}")
     state = RoundingState(inst, frac, cap=cap)
     rng = _rng(rng_seed)
-    misses = 0
+    misses = samples = iterations = fallback_cells = 0
     while state.unfilled:
         focal = sample_focal(state, rng, sampler)
         if focal is None and sampler == "advanced":  # no positive factor left
-            _fallback_fill(state)
+            fallback_cells += _fallback_fill(state)
             continue
-        state.diagnostics["samples"] += 1
+        samples += 1
         if focal is not None and csf_step(state, focal):
-            state.diagnostics["iterations"] += 1
+            iterations += 1
             misses = 0
             continue
         misses += 1
         if misses >= 64:  # probe for starvation before resampling further
             if state.xbar().sum() <= 0.0:
-                _fallback_fill(state)
+                fallback_cells += _fallback_fill(state)
             misses = 0
     if stats is not None:
-        stats.update(state.diagnostics)
+        stats.update(fallback_cells=fallback_cells, samples=samples, iterations=iterations)
     return state.to_configuration()
 
 
@@ -361,7 +359,8 @@ def avgd(inst: Instance, frac: FractionalSolution, r: float = 0.25,
     covers every threshold set and is refined to the exact maximizer (see
     _best_subset); ties break to the lowest item, then slot, then the
     enumeration order of subsets.  With r = 1/4 the output is worst-case
-    4-approximate.
+    4-approximate.  When given, `trace` receives one record per step, its
+    "iteration" being the trace's length before the record.
 
     Cell results are cached across iterations.  A step at (c, s) changes
     only the empty cells of slot s, the users holding item c and, when it
@@ -379,7 +378,6 @@ def avgd(inst: Instance, frac: FractionalSolution, r: float = 0.25,
     ends = np.column_stack([eu, ev]).ravel()  # (u, v) of each edge in turn
     cells: list[list] = [[None] * k for _ in range(m)]  # _score_cell per (c, s)
     fresh = np.zeros((m, k), dtype=bool)  # cells[c][s] is current
-    it = 0
     while state.unfilled:
         if _fallback_fill(state):
             fresh[:] = False
@@ -417,7 +415,7 @@ def avgd(inst: Instance, frac: FractionalSolution, r: float = 0.25,
             lost = float(loss[users, s].sum()) - running_sum(q_es[inner, s])
             opt_fut = opt_cur - lost
             trace.append({
-                "iteration": it,
+                "iteration": len(trace),
                 "c": int(c),
                 "s": int(s),
                 "alpha": float(xt[users, c, s].min()),
@@ -429,7 +427,6 @@ def avgd(inst: Instance, frac: FractionalSolution, r: float = 0.25,
         state.assign_users([int(u) for u in users], int(c), int(s))
         fresh[c, :] = False
         fresh[:, s] = False
-        it += 1
     return state.to_configuration()
 
 

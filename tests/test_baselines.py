@@ -1,14 +1,17 @@
 """Baseline algorithm tests."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 import codisplay as cd
+from codisplay import baselines as bl
 from codisplay import lp as lpm
 from codisplay.core import DomainError
 
+from friendship_reference import friendship_partition
 from conftest import (
     EXPECTED_UNIT,
     FRIEND_PARTITION,
@@ -124,6 +127,45 @@ class TestAutoPartition:
     def test_bad_group_count_rejected(self, example):
         with pytest.raises(DomainError):
             cd.auto_partition(example, "friendship", 0)
+
+
+def _matching(n):
+    """n users joined in disjoint pairs (0, 1), (2, 3), ..."""
+    edges = tuple(cd.Edge(u, u + 1, np.ones(2), np.ones(2)) for u in range(0, n - 1, 2))
+    return cd.Instance(n=n, m=2, k=1, pref=np.ones((n, 2)), edges=edges, lam=0.5)
+
+
+def _partition_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DomainError as exc:
+        return str(exc)
+
+
+class TestFriendshipPartitionReference:
+    """The label-count merge loop gives the pairwise reference's partitions."""
+
+    def test_seeded_ladder(self):
+        rng = np.random.Generator(np.random.Philox(2024))
+        dissolved = 0
+        cases = [(_matching(10), 4), (_matching(14), 5)]  # pairs, then no pair fits
+        for seed in range(300):
+            n = int(rng.integers(2, 22))
+            inst = cd.gen_random(n, 2, 1, edge_prob=float(rng.uniform(0.05, 0.9)), seed=seed)
+            cases.append((inst, int(rng.integers(1, n + 1))))
+        for inst, g in cases:
+            dissolves = []
+            ref = _partition_outcome(friendship_partition, inst, g, dissolves)
+            assert _partition_outcome(bl._friendship_partition, inst, g) == ref
+            dissolved += bool(dissolves)
+        assert dissolved >= 5  # the dissolve branch is reached, not just the merges
+
+    def test_st_prepartition(self):
+        for seed in range(40):
+            inst = cd.gen_random(6 + seed % 9, 6, 2, edge_prob=0.4, seed=300 + seed,
+                                 d_tel=0.3, m_cap=2 + seed % 3)
+            got = [users.tolist() for _, users in cd.st_prepartition(inst)]
+            assert got == friendship_partition(inst, math.ceil(inst.n / inst.st.M))
 
 
 def _internal_edges(inst, partition):

@@ -305,18 +305,31 @@ class TestCompare:
         tele = tmp_path / "tele.json"
         core.dump_json(core.instance_to_dict(
             cd.gen_random(4, 5, 2, edge_prob=0.7, seed=3, d_tel=0.5, m_cap=2)), tele)
+        built = {}  # id of each model built -> its builder's kind
+
+        def record(kind):
+            real_build = getattr(cd.lp, f"build_{kind}_lp")
+
+            def build(inst):
+                model = real_build(inst)
+                built[id(model)] = kind
+                return model
+            monkeypatch.setattr(cd.lp, f"build_{kind}_lp", build)
+
+        record("simplified")
+        record("st")
         calls = []
         real = cd.lp.solve_lp
         monkeypatch.setattr(cd.lp, "solve_lp",
-                            lambda model, *a, **kw: calls.append(model.meta["kind"])
+                            lambda model, *a, **kw: calls.append(built[id(model)])
                             or real(model, *a, **kw))
         assert run(["compare", "--in", fixture_files["inst"], "--algos", "avg,avgd,indep,per",
                     "--seeds", "0..2", "--out", str(tmp_path / "p.csv")]) == 0
-        assert calls == ["simp"]
+        assert calls == ["simplified"]
         calls.clear()
         assert run(["compare", "--in", str(tele), "--algos", "avg-st,avgd-st,avg,per",
                     "--seeds", "0,1", "--out", str(tmp_path / "t.csv")]) == 0
-        assert calls == ["simp", "st"]
+        assert calls == ["simplified", "st"]
 
 
 class TestBadInput:
@@ -511,6 +524,36 @@ class TestBadInput:
                     "--in", fixture_files["inst"], "--frac", fixture_files["frac"]]) == 0
         assert run(["solve", "--algo", "sub-pref", "--groups", "2",
                     "--in", fixture_files["inst"]]) == 0
+
+    def test_groups_with_partition(self, fixture_files, tmp_path, capsys):
+        part = tmp_path / "p.json"
+        core.dump_json([[0, 1], [2, 3]], part)
+        code = run(["solve", "--algo", "sub-friend", "--groups", "3", "--partition", str(part),
+                    "--in", fixture_files["inst"]])
+        err = capsys.readouterr().err
+        assert err == "error: --algo sub-friend takes --groups or --partition, not both\n"
+        assert code == 1
+
+    @pytest.mark.parametrize("algos", ["per", "per,group,avgd"])
+    def test_compare_groups_unused(self, fixture_files, capsys, algos):
+        run(["solve", "--algo", "per", "--groups", "7", "--in", fixture_files["inst"]])
+        solve_err = capsys.readouterr().err
+        code = run(["compare", "--in", fixture_files["inst"], "--algos", algos,
+                    "--groups", "7"])
+        err = capsys.readouterr().err
+        assert err == solve_err.replace("--algo per", f"--algos {algos}")
+        assert code == 1
+
+    def test_compare_groups_of_a_sub_algo_accepted(self, fixture_files, capsys):
+        assert run(["compare", "--in", fixture_files["inst"], "--algos", "per,sub-pref",
+                    "--groups", "2"]) == 0
+
+    def test_compare_unknown_algo_before_any_solve(self, fixture_files, capsys, monkeypatch):
+        solves = []
+        monkeypatch.setattr(cd.lp, "solve_lp", lambda *a, **kw: solves.append(1))
+        code = run(["compare", "--in", fixture_files["inst"], "--algos", "avg,x,per"])
+        assert capsys.readouterr().err == "error: unknown algorithm 'x'\n"
+        assert code == 1 and solves == []
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one(self, fixture_files, capsys, jobs):

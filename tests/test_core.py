@@ -363,6 +363,30 @@ class TestMetrics:
             if rep.objective_canonical > 0:
                 assert rep.personal_pct + rep.social_pct == pytest.approx(100.0)
 
+    @pytest.mark.parametrize("teleport", [False, True])
+    def test_to_dict_keys_and_values(self, teleport):
+        inst = cd.gen_random(5, 4, 2, edge_prob=0.8, seed=6,
+                             **({"d_tel": 0.5, "m_cap": 2} if teleport else {}))
+        cfg = random_config(inst, np.random.Generator(np.random.Philox(3)))
+        rep = cd.metrics(inst, cfg)
+        assert rep.to_dict() == {  # the field list of earlier versions
+            "objective_canonical": rep.objective_canonical,
+            "objective_unit_sum": rep.objective_unit_sum,
+            "personal_pct": rep.personal_pct,
+            "social_pct": rep.social_pct,
+            "inter_pct": rep.inter_pct,
+            "intra_pct": rep.intra_pct,
+            "normalized_density": rep.normalized_density,
+            "codisplay_pct": rep.codisplay_pct,
+            "alone_pct": rep.alone_pct,
+            "regret_mean": float(np.mean(rep.regret)),
+            "regret_max": float(np.max(rep.regret)),
+            "regret": list(rep.regret),
+            "st_feasible": rep.st_feasible,
+            "st_violation_count": rep.st_violation_count,
+        }
+        assert (rep.st_feasible is None) is not teleport
+
     def test_csv_row_matches_fields(self, example):
         rep = cd.metrics(example, cd.Configuration(assign=RANDOMIZED_TABLE))
         assert len(rep.csv_row()) == len(cd.MetricsReport.CSV_FIELDS)

@@ -184,6 +184,18 @@ class TestAvg:
             y_e = np.minimum(x[e.u], x[e.v]).sum(axis=1)
             assert (p_pair[ei] >= y_e / 4 - 3 * sig_p[ei] - 1e-12).all()
 
+    @pytest.mark.parametrize("sampler,expected", [
+        ("uniform", {"samples": 101, "iterations": 4, "fallback_cells": 12}),
+        ("advanced", {"samples": 4, "iterations": 4, "fallback_cells": 12}),
+    ])
+    def test_stats_counters(self, sampler, expected):
+        # the counters of earlier versions on a cap that starves most cells
+        inst = cd.gen_random(12, 6, 2, edge_prob=0.3, seed=0)
+        frac, _ = lpm.solve_fractional(inst)
+        stats = {}
+        cd.avg(inst, frac, rng_seed=0, sampler=sampler, cap=3, stats=stats)
+        assert stats == expected
+
     def test_best_of_dominates_single_run(self, example, example_frac):
         single = cd.total_objective(
             example, cd.avg(example, example_frac, rng_seed=0), "unit_sum")

@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Configuration, DomainError, Edge, Instance
+from .core import Configuration, DomainError, Edge, Instance, seeded_rng
 from .lp import FractionalSolution
 
 
@@ -128,7 +128,7 @@ def _preference_partition(inst: Instance, g: int, seed: int) -> list[list[int]]:
     dist = 1.0 - sim
     np.fill_diagonal(dist, 0.0)
 
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = seeded_rng(seed)
     best_cost, best_labels = np.inf, None
     for _ in range(20):
         medoids = list(rng.choice(n, size=g, replace=False))
@@ -161,7 +161,7 @@ def independent_rounding(inst: Instance, frac: FractionalSolution,
     """
     if frac.x.shape != (inst.n, inst.m, inst.k):
         raise DomainError("fractional solution shape does not match the instance")
-    rng = np.random.Generator(np.random.Philox(rng_seed))
+    rng = seeded_rng(rng_seed)
     probs = np.clip(frac.x, 0.0, None).transpose(0, 2, 1)  # (n, k, m)
     cum = probs.cumsum(axis=2)
     total = cum[:, :, -1:]

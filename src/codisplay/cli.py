@@ -289,9 +289,11 @@ def cmd_compare(args) -> int:
     if unknown:
         raise DomainError(f"unknown algorithm {unknown[0]!r}")
     _reject_unused("--algos", algos, {"groups": args.groups})
+    seeds = _parse_seeds(args.seeds)
+    if not algos or not seeds:
+        raise DomainError(f"no rows to compare: --algos {args.algos!r}, --seeds {args.seeds!r}")
     opts = {} if args.groups is None else {"groups": args.groups}
     inst = core.instance_from_dict(core.load_json(args.infile))
-    seeds = _parse_seeds(args.seeds)
     # each relaxation is solved once here and its factors travel with the
     # cells, so a cell's runtime_ms times the rounding alone; lambda = 0 has
     # no relaxation, so its LP-bound cells stay empty
@@ -311,7 +313,7 @@ def cmd_compare(args) -> int:
     keys = list(dict.fromkeys(key for _, _, key in rows))
     cells = [(inst, algo, seed, opts, st_frac if algo.endswith("-st") else frac)
              for algo, seed in keys]
-    if args.jobs > 1 and cells:
+    if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             columns = dict(zip(keys, pool.map(_compare_cell, cells)))
     else:

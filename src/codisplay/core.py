@@ -40,6 +40,13 @@ def _frozen_array(a, dtype, shape=None) -> np.ndarray:
     return arr
 
 
+def seeded_rng(seed: int) -> np.random.Generator:
+    """The Philox 4x64 generator of a seed: every random draw starts here."""
+    if seed < 0:
+        raise DomainError(f"seed must be a nonnegative integer, got {seed}")
+    return np.random.Generator(np.random.Philox(seed))
+
+
 @dataclass(frozen=True)
 class StParams:
     """Teleportation discount and subgroup size cap for the size-constrained variant."""

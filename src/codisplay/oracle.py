@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .core import Configuration, DomainError, Edge, Instance, StParams
+from .core import Configuration, DomainError, Edge, Instance, StParams, seeded_rng
 
 GUARD_LIMIT = 20_000_000
 BLOCK = 1 << 14  # configurations scored at once by `_search`
@@ -196,7 +196,9 @@ def brute_force_st(inst: Instance) -> tuple[Configuration, float]:
 def gen_random(n: int, m: int, k: int, edge_prob: float = 0.5, seed: int = 0,
                d_tel: float | None = None, m_cap: int | None = None) -> Instance:
     """Uniform preferences, Bernoulli edges, directed social values in [0, 0.5]."""
-    rng = np.random.Generator(np.random.Philox(seed))
+    if not 0.0 <= edge_prob <= 1.0:
+        raise DomainError(f"edge_prob must lie in [0, 1], got {edge_prob}")
+    rng = seeded_rng(seed)
     pref = rng.random((n, m))
     edges = []
     for u in range(n):

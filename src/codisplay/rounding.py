@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import (Configuration, DomainError, Instance, optimistic_utility, running_sum,
-                   total_objective)
+                   seeded_rng, total_objective)
 from .lp import FractionalSolution
 
 EXACT_SUBSET_LIMIT = 12
@@ -160,10 +160,6 @@ def _fallback_fill(state: RoundingState) -> int:
     return unfilled - state.unfilled
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(seed))
-
-
 def avg(inst: Instance, frac: FractionalSolution, rng_seed: int = 0,
         sampler: str = "uniform", cap: Optional[int] = None,
         stats: Optional[dict] = None) -> Configuration:
@@ -179,7 +175,7 @@ def avg(inst: Instance, frac: FractionalSolution, rng_seed: int = 0,
     if sampler not in ("uniform", "advanced"):
         raise DomainError(f"unknown sampler {sampler!r}")
     state = RoundingState(inst, frac, cap=cap)
-    rng = _rng(rng_seed)
+    rng = seeded_rng(rng_seed)
     misses = samples = iterations = fallback_cells = 0
     while state.unfilled:
         focal = sample_focal(state, rng, sampler)
@@ -246,82 +242,65 @@ def avg_replay(inst: Instance, frac: FractionalSolution,
 # ---------------------------------------------------------------------------
 
 
-def _adjacency(q: int, pairs: list[tuple[int, int, float]]) -> list[list[tuple[int, float]]]:
-    """Per-user (partner, bonus) lists of the pair bonuses."""
-    adj: list[list[tuple[int, float]]] = [[] for _ in range(q)]
-    for i, j, b in pairs:
-        adj[i].append((j, b))
-        adj[j].append((i, b))
-    return adj
-
-
-def _best_prefix(order: np.ndarray, a: np.ndarray, adj: list[list[tuple[int, float]]],
-                 capacity: int) -> tuple[float, np.ndarray]:
-    """Best nonempty prefix of `order` (at most `capacity` users) and its mask."""
+def _exact_subset(a: np.ndarray, pairs, capacity: int) -> tuple[float, np.ndarray]:
+    """Maximize sum(a[S]) plus the bonus b of every pair (i, j, b) inside S
+    over nonempty S of at most `capacity` of the users 0..a.size-1, by
+    enumeration.  All bonuses are nonnegative, so the problem is supermodular."""
     q = a.size
-    chosen = np.zeros(q, dtype=bool)
+    bits, sizes = _masks(q)
+    scores = bits @ a
+    for i, j, b in pairs:
+        scores = scores + b * (bits[:, i] & bits[:, j])
+    scores[0] = -np.inf
+    scores[sizes > capacity] = -np.inf
+    best = int(np.argmax(scores))
+    return float(scores[best]), np.flatnonzero(bits[best])
+
+
+def _best_prefix(order: np.ndarray, a: np.ndarray, nbrs: list, bonus: list,
+                 capacity: int) -> tuple[float, np.ndarray]:
+    """Best nonempty prefix of the users `order` (at most `capacity` of them)
+    and its mask over all users.  A user adds a[u] plus the bonus of each
+    edge to an earlier chosen user, summed in edge order."""
+    chosen = np.zeros(a.size, dtype=bool)
     best_score, best_mask = -np.inf, None
     score = 0.0
-    for t in range(min(q, capacity)):
-        u = int(order[t])
+    for u in order[:capacity].tolist():
         chosen[u] = True
-        score += a[u] + sum(b for v, b in adj[u] if chosen[v])
+        score += a[u] + sum(bonus[e] for v, e in nbrs[u] if chosen[v])
         if score > best_score:
             best_score, best_mask = score, chosen.copy()
     return best_score, best_mask
 
 
-def _best_subset(a: np.ndarray, pairs: list[tuple[int, int, float]],
-                 adj: Optional[list[list[tuple[int, float]]]],
-                 capacity: int) -> tuple[float, np.ndarray]:
-    """Maximize sum(a[S]) + sum of pair bonuses inside S over nonempty S of
-    at most `capacity` users.
-
-    Exact by enumeration up to EXACT_SUBSET_LIMIT users; beyond that, seeded
-    from the best descending-score prefix and improved by single-user moves
-    over `adj`, the `_adjacency` of the pairs (unused below the limit).
-    All pair bonuses are nonnegative, so the exact problem is supermodular;
-    the local search is a documented approximation for large eligible sets.
-    """
-    q = a.size
-    if q <= EXACT_SUBSET_LIMIT:
-        bits, sizes = _masks(q)
-        scores = bits @ a
-        for i, j, b in pairs:
-            scores = scores + b * (bits[:, i] & bits[:, j])
-        scores[0] = -np.inf
-        if capacity < q:
-            scores[sizes > capacity] = -np.inf
-        best = int(np.argmax(scores))
-        return float(scores[best]), np.flatnonzero(bits[best])
-
-    score, in_set = _best_prefix(np.argsort(-a, kind="stable"), a, adj, capacity)
+def _local_subset(users: np.ndarray, a: np.ndarray, nbrs: list, bonus: list,
+                  capacity: int) -> tuple[float, np.ndarray]:
+    """The `_exact_subset` problem over `users` for sets too large to
+    enumerate, as a mask over all users: seeded from the best descending-score
+    prefix and improved by single-user moves, a documented approximation."""
+    order = users[np.argsort(-a[users], kind="stable")]
+    score, in_set = _best_prefix(order, a, nbrs, bonus, capacity)
     size = int(in_set.sum())
-    for _ in range(4 * q):  # strict improvement, terminates
+    for _ in range(4 * users.size):  # strict improvement, terminates
         moved = False
-        for u in range(q):
-            delta = a[u] + sum(b for v, b in adj[u] if in_set[v])
-            if in_set[u]:
-                if size > 1 and -delta > _TIE_EPS:
-                    in_set[u] = False
-                    size -= 1
-                    score -= delta
-                    moved = True
-            else:
-                if size < capacity and delta > _TIE_EPS:
-                    in_set[u] = True
-                    size += 1
-                    score += delta
-                    moved = True
+        for u in users.tolist():
+            delta = a[u] + sum(bonus[e] for v, e in nbrs[u] if in_set[v])
+            step = -1 if in_set[u] else 1  # drop u, or add u
+            if step * delta > _TIE_EPS and 1 <= size + step <= capacity:
+                in_set[u] = not in_set[u]
+                size += step
+                score += step * delta
+                moved = True
         if not moved:
             break
-    return float(score), np.flatnonzero(in_set)
+    return float(score), in_set
 
 
 def _score_cell(state: RoundingState, c: int, s: int, r: float, loss: np.ndarray,
-                q_es: np.ndarray) -> Optional[tuple[float, np.ndarray]]:
+                q_es: np.ndarray, nbrs: list) -> Optional[tuple[float, np.ndarray]]:
     """avgd's best subgroup of cell (c, s) as (score, users); None when the
-    cell is full or has nobody eligible."""
+    cell is full or has nobody eligible.  `nbrs[u]` lists user u's (partner,
+    edge) pairs in edge order; an ineligible partner is never chosen."""
     capacity = state.room(c, s)
     if capacity <= 0:
         return None
@@ -329,23 +308,24 @@ def _score_cell(state: RoundingState, c: int, s: int, r: float, loss: np.ndarray
     if elig.size == 0:
         return None
     inst = state.inst
-    q = elig.size
-    a_lin = inst.pref[elig, c] - r * loss[elig, s]
-    inner = inst.edges_within(elig)
-    pairs = list(zip(np.searchsorted(elig, inst.eu[inner]).tolist(),
-                     np.searchsorted(elig, inst.ev[inner]).tolist(),
-                     (inst.w[inner, c] + r * q_es[inner, s]).tolist()))
-    adj = _adjacency(q, pairs) if q > EXACT_SUBSET_LIMIT else None
-    score, local = _best_subset(a_lin, pairs, adj, capacity)
-    if adj is not None:
-        # the (factor desc, index asc) prefixes include every threshold
-        # target set and its capped truncation, so dominating them keeps
-        # the worst-case guarantee
-        t_score, t_mask = _best_prefix(
-            np.lexsort((np.arange(q), -state.x[elig, c, s])), a_lin, adj, capacity)
-        if t_score > score + _TIE_EPS:
-            score, local = t_score, np.flatnonzero(t_mask)
-    return score, elig[local]
+    a = inst.pref[:, c] - r * loss[:, s]  # linear score of every user
+    bonus = inst.w[:, c] + r * q_es[:, s]  # pair bonus of every edge
+    if elig.size <= EXACT_SUBSET_LIMIT:
+        inner = inst.edges_within(elig)
+        pairs = zip(np.searchsorted(elig, inst.eu[inner]).tolist(),
+                    np.searchsorted(elig, inst.ev[inner]).tolist(), bonus[inner].tolist())
+        score, local = _exact_subset(a[elig], pairs, capacity)
+        return score, elig[local]
+    bonus = bonus.tolist()
+    score, in_set = _local_subset(elig, a, nbrs, bonus, capacity)
+    # the (factor desc, index asc) prefixes include every threshold target
+    # set and its capped truncation, so dominating them keeps the worst-case
+    # guarantee
+    by_factor = elig[np.argsort(-state.x[elig, c, s], kind="stable")]
+    t_score, t_mask = _best_prefix(by_factor, a, nbrs, bonus, capacity)
+    if t_score > score + _TIE_EPS:
+        score, in_set = t_score, t_mask
+    return score, np.flatnonzero(in_set)
 
 
 def avgd(inst: Instance, frac: FractionalSolution, r: float = 0.25,
@@ -357,7 +337,7 @@ def avgd(inst: Instance, frac: FractionalSolution, r: float = 0.25,
     the realized preference plus social weight inside S and OPT_LP is the
     fractional value of the cells not yet assigned.  The subgroup search
     covers every threshold set and is refined to the exact maximizer (see
-    _best_subset); ties break to the lowest item, then slot, then the
+    _score_cell); ties break to the lowest item, then slot, then the
     enumeration order of subsets.  With r = 1/4 the output is worst-case
     4-approximate.  When given, `trace` receives one record per step, its
     "iteration" being the trace's length before the record.
@@ -376,6 +356,10 @@ def avgd(inst: Instance, frac: FractionalSolution, r: float = 0.25,
     m, k = inst.m, inst.k
     pref, eu, ev, w = inst.pref, inst.eu, inst.ev, inst.w
     ends = np.column_stack([eu, ev]).ravel()  # (u, v) of each edge in turn
+    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(inst.n)]  # (partner, edge)
+    for e, (u, v) in enumerate(zip(eu.tolist(), ev.tolist())):
+        nbrs[u].append((v, e))
+        nbrs[v].append((u, e))
     cells: list[list] = [[None] * k for _ in range(m)]  # _score_cell per (c, s)
     fresh = np.zeros((m, k), dtype=bool)  # cells[c][s] is current
     while state.unfilled:
@@ -398,7 +382,7 @@ def avgd(inst: Instance, frac: FractionalSolution, r: float = 0.25,
         for c in range(m):
             for s in range(k):
                 if not fresh[c, s]:
-                    cells[c][s] = _score_cell(state, c, s, r, loss, q_es)
+                    cells[c][s] = _score_cell(state, c, s, r, loss, q_es, nbrs)
                     fresh[c, s] = True
                 cell = cells[c][s]
                 if cell is not None and (best is None or cell[0] > best[0] + _TIE_EPS):

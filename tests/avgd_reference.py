@@ -1,0 +1,115 @@
+"""Per-cell subgroup search over relabelled pair lists: the reference the
+neighbour-index search of ``codisplay.rounding.avgd`` is checked against.
+
+``score_cell(state, c, s, r, loss, q_es)`` takes the arguments of
+``codisplay.rounding._score_cell`` apart from the neighbour index and returns
+the same ``(score, users)`` or None.  It relabels the eligible users of the
+cell to 0..q-1, lists the friendships among them as ``(i, j, bonus)`` pairs in
+edge order and, above ``EXACT_SUBSET_LIMIT`` users, builds per-user
+``(partner, bonus)`` lists from those pairs for the local search.
+"""
+
+from __future__ import annotations
+
+from typing import Optional
+
+import numpy as np
+
+from codisplay.rounding import EXACT_SUBSET_LIMIT, _TIE_EPS, RoundingState, _masks
+
+
+def adjacency(q: int, pairs: list[tuple[int, int, float]]) -> list[list[tuple[int, float]]]:
+    """Per-user (partner, bonus) lists of the pair bonuses."""
+    adj: list[list[tuple[int, float]]] = [[] for _ in range(q)]
+    for i, j, b in pairs:
+        adj[i].append((j, b))
+        adj[j].append((i, b))
+    return adj
+
+
+def best_prefix(order: np.ndarray, a: np.ndarray, adj: list[list[tuple[int, float]]],
+                capacity: int) -> tuple[float, np.ndarray]:
+    """Best nonempty prefix of `order` (at most `capacity` users) and its mask."""
+    q = a.size
+    chosen = np.zeros(q, dtype=bool)
+    best_score, best_mask = -np.inf, None
+    score = 0.0
+    for t in range(min(q, capacity)):
+        u = int(order[t])
+        chosen[u] = True
+        score += a[u] + sum(b for v, b in adj[u] if chosen[v])
+        if score > best_score:
+            best_score, best_mask = score, chosen.copy()
+    return best_score, best_mask
+
+
+def best_subset(a: np.ndarray, pairs: list[tuple[int, int, float]],
+                adj: Optional[list[list[tuple[int, float]]]],
+                capacity: int) -> tuple[float, np.ndarray]:
+    """Maximize sum(a[S]) + sum of pair bonuses inside S over nonempty S of
+    at most `capacity` users.
+
+    Exact by enumeration up to EXACT_SUBSET_LIMIT users; beyond that, seeded
+    from the best descending-score prefix and improved by single-user moves
+    over `adj`, the `adjacency` of the pairs (unused below the limit).
+    """
+    q = a.size
+    if q <= EXACT_SUBSET_LIMIT:
+        bits, sizes = _masks(q)
+        scores = bits @ a
+        for i, j, b in pairs:
+            scores = scores + b * (bits[:, i] & bits[:, j])
+        scores[0] = -np.inf
+        if capacity < q:
+            scores[sizes > capacity] = -np.inf
+        best = int(np.argmax(scores))
+        return float(scores[best]), np.flatnonzero(bits[best])
+
+    score, in_set = best_prefix(np.argsort(-a, kind="stable"), a, adj, capacity)
+    size = int(in_set.sum())
+    for _ in range(4 * q):  # strict improvement, terminates
+        moved = False
+        for u in range(q):
+            delta = a[u] + sum(b for v, b in adj[u] if in_set[v])
+            if in_set[u]:
+                if size > 1 and -delta > _TIE_EPS:
+                    in_set[u] = False
+                    size -= 1
+                    score -= delta
+                    moved = True
+            else:
+                if size < capacity and delta > _TIE_EPS:
+                    in_set[u] = True
+                    size += 1
+                    score += delta
+                    moved = True
+        if not moved:
+            break
+    return float(score), np.flatnonzero(in_set)
+
+
+def score_cell(state: RoundingState, c: int, s: int, r: float, loss: np.ndarray,
+               q_es: np.ndarray) -> Optional[tuple[float, np.ndarray]]:
+    """avgd's best subgroup of cell (c, s) as (score, users); None when the
+    cell is full or has nobody eligible."""
+    capacity = state.room(c, s)
+    if capacity <= 0:
+        return None
+    elig = state.eligible_users(c, s)
+    if elig.size == 0:
+        return None
+    inst = state.inst
+    q = elig.size
+    a_lin = inst.pref[elig, c] - r * loss[elig, s]
+    inner = inst.edges_within(elig)
+    pairs = list(zip(np.searchsorted(elig, inst.eu[inner]).tolist(),
+                     np.searchsorted(elig, inst.ev[inner]).tolist(),
+                     (inst.w[inner, c] + r * q_es[inner, s]).tolist()))
+    adj = adjacency(q, pairs) if q > EXACT_SUBSET_LIMIT else None
+    score, local = best_subset(a_lin, pairs, adj, capacity)
+    if adj is not None:
+        t_score, t_mask = best_prefix(
+            np.lexsort((np.arange(q), -state.x[elig, c, s])), a_lin, adj, capacity)
+        if t_score > score + _TIE_EPS:
+            score, local = t_score, np.flatnonzero(t_mask)
+    return score, elig[local]

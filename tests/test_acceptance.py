@@ -15,6 +15,7 @@ from scipy.stats import chi2_contingency
 import codisplay as cd
 from codisplay import lp as lpm
 from codisplay import rounding
+from codisplay.core import seeded_rng
 
 from conftest import (
     DETERMINISTIC_TABLE,
@@ -269,7 +270,7 @@ def test_c10_sampler_equivalence(example, example_frac):
     draws = 100_000
     counts: dict = {}
     for kind, sampler in enumerate(("uniform", "advanced")):
-        rng = rounding._rng(424242 + kind)
+        rng = seeded_rng(424242 + kind)
         seen = 0
         while seen < draws:
             focal = rounding.sample_focal(state, rng, sampler)

@@ -200,13 +200,6 @@ class TestCompare:
         assert float(row["intra_pct"]) == pytest.approx(100.0)
         assert float(row["normalized_density"]) == pytest.approx(1.0)
 
-    def test_empty_algos_header_only(self, fixture_files, tmp_path):
-        out = tmp_path / "empty.csv"
-        assert run(["compare", "--in", fixture_files["inst"], "--algos", "",
-                    "--seeds", "0,1", "--out", str(out)]) == 0
-        lines = out.read_text().strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("algo,")
-
     def test_seed_range_syntax(self, fixture_files, tmp_path):
         out = tmp_path / "r.csv"
         assert run(["compare", "--in", fixture_files["inst"], "--algos", "per",
@@ -554,6 +547,37 @@ class TestBadInput:
         code = run(["compare", "--in", fixture_files["inst"], "--algos", "avg,x,per"])
         assert capsys.readouterr().err == "error: unknown algorithm 'x'\n"
         assert code == 1 and solves == []
+
+    @pytest.mark.parametrize("algos, seeds", [("per", "5..2"), ("per", ""), (",", "0,1"),
+                                              ("", "0,1")],
+                             ids=["reversed-range", "no-seeds", "comma-algos", "empty-algos"])
+    def test_compare_without_rows(self, tmp_path, capsys, algos, seeds):
+        # the instance file does not exist: the table is refused before it is read
+        code = run(["compare", "--in", str(tmp_path / "absent.json"), "--algos", algos,
+                    "--seeds", seeds, "--out", str(tmp_path / "t.csv")])
+        assert capsys.readouterr().err.startswith("error: no rows to compare")
+        assert code == 1 and not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--algo", "avg", "--seed", "-1"],
+        ["solve", "--algo", "avg", "--repeats", "3", "--seed", "-1"],
+        ["solve", "--algo", "indep", "--seed", "-1"],
+        ["solve", "--algo", "sub-pref", "--seed", "-1"],
+        ["compare", "--algos", "per,avg", "--seeds", "-1"],
+    ], ids=["avg", "avg-repeats", "indep", "sub-pref", "compare"])
+    def test_negative_seed(self, fixture_files, capsys, argv):
+        code = run(argv + ["--in", fixture_files["inst"]])
+        err = capsys.readouterr().err
+        assert code == 1 and err == "error: seed must be a nonnegative integer, got -1\n"
+
+    @pytest.mark.parametrize("flags", [["--seed", "-1"], ["--edge-prob", "2"],
+                                       ["--edge-prob", "-0.5"]], ids=["seed", "p-above", "p-below"])
+    def test_gen_random_outside_domain(self, tmp_path, capsys, flags):
+        out = tmp_path / "inst.json"
+        code = run(["gen", "--kind", "random", "--n", "4", "--m", "5", "--k", "2",
+                    "--out", str(out)] + flags)
+        self.assert_clean_error(code, capsys)
+        assert not out.exists()
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one(self, fixture_files, capsys, jobs):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import codisplay as cd
-from codisplay.core import DomainError, StructuralError, objective_parts
+from codisplay.core import DomainError, StructuralError, objective_parts, seeded_rng
 
 from conftest import (
     DETERMINISTIC_TABLE,
@@ -590,3 +590,21 @@ class TestArraysMatchEdgeLoops:
             rep = cd.metrics(inst, cfg).to_dict()
             for field, value in ref_metrics(inst, cfg).items():
                 assert rep[field] == value, field
+
+
+class TestSeededRng:
+    def test_negative_seed_rejected_by_every_seeded_routine(self, example, example_frac):
+        calls = [
+            lambda: cd.avg(example, example_frac, rng_seed=-1),
+            lambda: cd.best_of(example, example_frac, seeds=[0, -1]),
+            lambda: cd.independent_rounding(example, example_frac, rng_seed=-1),
+            lambda: cd.auto_partition(example, "preference", 2, seed=-1),
+            lambda: cd.gen_random(4, 4, 2, seed=-1),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError, match="seed must be a nonnegative integer"):
+                call()
+
+    def test_stream_of_a_valid_seed_is_philox(self):
+        a = seeded_rng(3).random(5)
+        assert np.array_equal(a, np.random.Generator(np.random.Philox(3)).random(5))

@@ -196,6 +196,17 @@ class TestGenerators:
     def test_gen_random_no_edges(self):
         assert cd.gen_random(5, 5, 2, edge_prob=0.0, seed=1).num_edges == 0
 
+    def test_gen_random_stream_is_philox_of_the_seed(self):
+        inst = cd.gen_random(4, 3, 1, edge_prob=1.0, seed=11)
+        assert inst.num_edges == 6  # edge_prob 1 is inside the domain
+        rng = np.random.Generator(np.random.Philox(11))
+        assert np.array_equal(inst.pref, rng.random((4, 3)))
+
+    @pytest.mark.parametrize("edge_prob", [-0.1, 1.5, 2.0, float("nan")])
+    def test_gen_random_edge_prob_outside_unit_interval(self, edge_prob):
+        with pytest.raises(DomainError, match="edge_prob must lie in"):
+            cd.gen_random(5, 5, 2, edge_prob=edge_prob, seed=1)
+
     def test_gen_lemma1_structure_and_optimum(self):
         inst = cd.gen_lemma1(3, 4, 2, tau=1.0)
         assert inst.num_edges == 3

@@ -6,9 +6,10 @@ import pytest
 import codisplay as cd
 from codisplay import lp as lpm
 from codisplay import rounding
-from codisplay.core import DomainError, running_sum
+from codisplay.core import DomainError, running_sum, seeded_rng
 from codisplay.rounding import FocalParams, RoundingState
 
+import avgd_reference
 from conftest import (
     DETERMINISTIC_TABLE,
     EXPECTED_UNIT,
@@ -390,7 +391,8 @@ class TestLargeEligibleSets:
 
 def _avgd_full_rescore(inst, frac, r, trace, cap=None):
     """Reference avgd that rescores every (item, slot) on every step (the
-    solver before its cell cache); same tie rule and trace records."""
+    solver before its cell cache) through the per-cell pair-list search of
+    `avgd_reference`; same tie rule and trace records."""
     state = RoundingState(inst, frac, cap=cap)
     pref, eu, ev, w = inst.pref, inst.eu, inst.ev, inst.w
     ends = np.column_stack([eu, ev]).ravel()
@@ -410,25 +412,9 @@ def _avgd_full_rescore(inst, frac, r, trace, cap=None):
         best = None
         for c in range(inst.m):
             for s in range(inst.k):
-                capacity = state.room(c, s)
-                elig = np.flatnonzero(empty[:, s] & ~state.held[:, c])
-                if capacity <= 0 or elig.size == 0:
-                    continue
-                q = elig.size
-                a_lin = pref[elig, c] - r * loss[elig, s]
-                inner = inst.edges_within(elig)
-                pairs = list(zip(np.searchsorted(elig, eu[inner]).tolist(),
-                                 np.searchsorted(elig, ev[inner]).tolist(),
-                                 (w[inner, c] + r * q_es[inner, s]).tolist()))
-                adj = rounding._adjacency(q, pairs) if q > rounding.EXACT_SUBSET_LIMIT else None
-                score, local = rounding._best_subset(a_lin, pairs, adj, capacity)
-                if adj is not None:
-                    t_score, t_mask = rounding._best_prefix(
-                        np.lexsort((np.arange(q), -xt[elig, c, s])), a_lin, adj, capacity)
-                    if t_score > score + rounding._TIE_EPS:
-                        score, local = t_score, np.flatnonzero(t_mask)
-                if best is None or score > best[0] + rounding._TIE_EPS:
-                    best = (score, c, s, elig[local])
+                cell = avgd_reference.score_cell(state, c, s, r, loss, q_es)
+                if cell is not None and (best is None or cell[0] > best[0] + rounding._TIE_EPS):
+                    best = (cell[0], c, s, cell[1])
         if best is None:
             rounding._fallback_fill(state)
             continue
@@ -461,15 +447,20 @@ def _uniform_frac(inst):
 
 
 class TestIncrementalAvgd:
-    """The cell cache of avgd against full rescoring, and what it saves."""
+    """The cell cache and neighbour-index search of avgd against full
+    rescoring with the per-cell pair-list search, and what the cache saves."""
 
-    SHAPES = [(16, 5, 2), (24, 6, 2), (32, 6, 3), (40, 8, 3), (60, 10, 3)]
+    # (n, m, k, edge_prob or None for min(0.5, 6/n)); in the last shape most
+    # scored cells have more than EXACT_SUBSET_LIMIT eligible users and the
+    # mean degree is about 9
+    SHAPES = [(16, 5, 2, None), (24, 6, 2, None), (32, 6, 3, None), (40, 8, 3, None),
+              (60, 10, 3, None), (48, 4, 2, 0.2)]
 
     @pytest.mark.parametrize("r", [0.25, 1.0])
     @pytest.mark.parametrize("shape", SHAPES)
     def test_matches_full_rescoring(self, shape, r):
-        n, m, k = shape
-        inst = cd.gen_random(n, m, k, edge_prob=min(0.5, 6 / n), seed=4100 + n)
+        n, m, k, p = shape
+        inst = cd.gen_random(n, m, k, edge_prob=p or min(0.5, 6 / n), seed=4100 + n)
         frac, _ = lpm.solve_fractional(inst)
         tight = -(-n // m)
         for cap in (None, tight, 2 * tight):
@@ -480,7 +471,7 @@ class TestIncrementalAvgd:
     @pytest.mark.parametrize("r", [0.25, 1.0])
     @pytest.mark.parametrize("shape", SHAPES[:3])
     def test_teleport_matches_full_rescoring(self, shape, r):
-        n, m, k = shape
+        n, m, k, _ = shape
         for M in (-(-n // m), 2 * -(-n // m)):
             inst = cd.gen_random(n, m, k, edge_prob=min(0.5, 6 / n), seed=4200 + n,
                                  d_tel=0.5, m_cap=M)
@@ -493,8 +484,8 @@ class TestIncrementalAvgd:
         inst = cd.gen_random(16, 5, 3, edge_prob=0.4, seed=4300)
         m, k = inst.m, inst.k
         calls = []
-        real = rounding._best_subset
-        monkeypatch.setattr(rounding, "_best_subset",
+        real = rounding._score_cell
+        monkeypatch.setattr(rounding, "_score_cell",
                             lambda *args: calls.append(1) or real(*args))
 
         class Steps(list):
@@ -583,8 +574,9 @@ class TestSizeCappedRounding:
         assert state.assign[0, 0] == -1
         assert state.xbar()[0, 0] == 0.0
         loss, q_es = np.zeros((3, 1)), np.zeros((0, 1))
-        assert rounding._score_cell(state, 0, 0, 0.25, loss, q_es) is None
-        assert rounding._score_cell(state, 1, 0, 0.25, loss, q_es) is not None
+        nbrs = [[] for _ in range(3)]  # no friendships
+        assert rounding._score_cell(state, 0, 0, 0.25, loss, q_es, nbrs) is None
+        assert rounding._score_cell(state, 1, 0, 0.25, loss, q_es, nbrs) is not None
 
     @pytest.mark.xfail(raises=DomainError, strict=True,
                        reason="known defect: a tight cap can leave a starved cell "
@@ -663,7 +655,7 @@ class TestSamplerEquivalence:
         draws = 20000
         counts = {}
         for kind, sampler in enumerate(("uniform", "advanced")):
-            rng = rounding._rng(12345 + kind)
+            rng = seeded_rng(12345 + kind)
             seen = 0
             while seen < draws:
                 focal = rounding.sample_focal(state, rng, sampler)

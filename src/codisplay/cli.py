@@ -196,18 +196,20 @@ def cmd_gen(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    if args.seed < 0:  # refused for every algorithm, drawn from or not
+        raise DomainError(f"seed must be a nonnegative integer, got {args.seed}")
     _reject_unused("--algo", [args.algo], {flag: getattr(args, flag) for flag in SOLVE_FLAGS})
     if args.groups is not None and args.partition is not None:
         raise DomainError(f"--algo {args.algo} takes --groups or --partition, not both")
     if args.repeats is not None and args.repeats < 1:
         raise DomainError(f"--repeats must be >= 1, got {args.repeats}")
     inst = core.instance_from_dict(core.load_json(args.infile))
-    t0 = time.perf_counter()
     frac = (_fractional_for(inst, args.frac, st=args.algo.endswith("-st"))
             if args.algo in LP_ALGOS else None)
     partition = _load_partition(args.partition) if args.partition else None
     opts = {flag: getattr(args, flag) for flag in ("sampler", "r", "repeats", "groups")
             if getattr(args, flag) is not None}
+    t0 = time.perf_counter()  # runtime_ms times the algorithm alone, as in `compare`
     cfg, info = _run_algo(inst, args.algo, frac, seed=args.seed, partition=partition, **opts)
     runtime_ms = (time.perf_counter() - t0) * 1000.0
     rep = _report(inst, cfg)
@@ -332,13 +334,15 @@ def cmd_compare(args) -> int:
 
 def _parse_seeds(text: str) -> list[int]:
     try:
-        if ".." in text:
-            lo, hi = text.split("..")
-            return list(range(int(lo), int(hi) + 1))
-        return [int(s) for s in text.split(",") if s]
+        lo, dots, hi = text.partition("..")
+        seeds = (list(range(int(lo), int(hi) + 1)) if dots
+                 else [int(s) for s in text.split(",") if s])
     except ValueError:
         raise DomainError(f"--seeds must be a comma-separated integer list or lo..hi, "
                           f"got {text!r}") from None
+    if min(seeds, default=0) < 0:  # refused for every algorithm, drawn from or not
+        raise DomainError(f"seed must be a nonnegative integer, got {min(seeds)}")
+    return seeds
 
 
 def cmd_export(args) -> int:

@@ -257,50 +257,67 @@ def _exact_subset(a: np.ndarray, pairs, capacity: int) -> tuple[float, np.ndarra
     return float(scores[best]), np.flatnonzero(bits[best])
 
 
-def _best_prefix(order: np.ndarray, a: np.ndarray, nbrs: list, bonus: list,
+def _best_prefix(order: np.ndarray, a: np.ndarray, nbrs: tuple, brow: np.ndarray,
                  capacity: int) -> tuple[float, np.ndarray]:
     """Best nonempty prefix of the users `order` (at most `capacity` of them)
     and its mask over all users.  A user adds a[u] plus the bonus of each
-    edge to an earlier chosen user, summed in edge order."""
-    chosen = np.zeros(a.size, dtype=bool)
-    best_score, best_mask = -np.inf, None
-    score = 0.0
-    for u in order[:capacity].tolist():
-        chosen[u] = True
-        score += a[u] + sum(bonus[e] for v, e in nbrs[u] if chosen[v])
-        if score > best_score:
-            best_score, best_mask = score, chosen.copy()
-    return best_score, best_mask
+    edge to an earlier chosen user, summed in edge order by `np.add.at`."""
+    owner, partner, _, _ = nbrs
+    pre = order[:capacity]
+    rank = np.full(a.size, pre.size)
+    rank[pre] = np.arange(pre.size)
+    later = rank[partner] < rank[owner]  # each edge inside the prefix, at its later end
+    inc = np.zeros(a.size)
+    np.add.at(inc, owner[later], brow[later])
+    scores = np.cumsum(a[pre] + inc[pre])
+    best = int(np.argmax(scores))
+    return scores[best], rank <= best
 
 
-def _local_subset(users: np.ndarray, a: np.ndarray, nbrs: list, bonus: list,
+def _local_subset(users: np.ndarray, a: np.ndarray, nbrs: tuple, brow: np.ndarray,
                   capacity: int) -> tuple[float, np.ndarray]:
     """The `_exact_subset` problem over `users` for sets too large to
     enumerate, as a mask over all users: seeded from the best descending-score
-    prefix and improved by single-user moves, a documented approximation."""
+    prefix and improved by single-user moves, a documented approximation.
+    A user's gain, its bonus to chosen partners, is summed again on a move."""
+    owner, partner, _, ptr = nbrs
     order = users[np.argsort(-a[users], kind="stable")]
-    score, in_set = _best_prefix(order, a, nbrs, bonus, capacity)
+    score, in_set = _best_prefix(order, a, nbrs, brow, capacity)
     size = int(in_set.sum())
+    gain = np.zeros(a.size)
+    hit = in_set[partner]
+    np.add.at(gain, owner[hit], brow[hit])
     for _ in range(4 * users.size):  # strict improvement, terminates
-        moved = False
-        for u in users.tolist():
-            delta = a[u] + sum(bonus[e] for v, e in nbrs[u] if in_set[v])
-            step = -1 if in_set[u] else 1  # drop u, or add u
-            if step * delta > _TIE_EPS and 1 <= size + step <= capacity:
-                in_set[u] = not in_set[u]
-                size += step
-                score += step * delta
-                moved = True
-        if not moved:
+        pos = 0
+        while pos < users.size:  # the first improving move from `pos` on
+            delta, inside = a[users[pos:]] + gain[users[pos:]], in_set[users[pos:]]
+            ok = np.where(inside, (-delta > _TIE_EPS) & (size > 1),
+                          (delta > _TIE_EPS) & (size < capacity))
+            i = int(np.argmax(ok))
+            if not ok[i]:
+                break
+            u, step = int(users[pos + i]), (-1 if inside[i] else 1)  # drop u, or add u
+            in_set[u] = not in_set[u]
+            size += step
+            score += step * delta[i]
+            pos += i + 1
+            near = partner[ptr[u]:ptr[u + 1]]  # sum their rows again, in edge order
+            ln = ptr[near + 1] - ptr[near]
+            at = np.arange(ln.sum()) + np.repeat(ptr[near + 1] - np.cumsum(ln), ln)
+            at = at[in_set[partner[at]]]
+            gain[near] = 0.0
+            np.add.at(gain, owner[at], brow[at])
+        if not pos:  # no move in this pass
             break
     return float(score), in_set
 
 
 def _score_cell(state: RoundingState, c: int, s: int, r: float, loss: np.ndarray,
-                q_es: np.ndarray, nbrs: list) -> Optional[tuple[float, np.ndarray]]:
+                q_es: np.ndarray, nbrs: tuple) -> Optional[tuple[float, np.ndarray]]:
     """avgd's best subgroup of cell (c, s) as (score, users); None when the
-    cell is full or has nobody eligible.  `nbrs[u]` lists user u's (partner,
-    edge) pairs in edge order; an ineligible partner is never chosen."""
+    cell is full or has nobody eligible.  `nbrs` is (owner, partner, edge, ptr):
+    entries ptr[u]:ptr[u + 1] hold user u's (partner, edge) pairs in edge
+    order.  An ineligible partner is never chosen."""
     capacity = state.room(c, s)
     if capacity <= 0:
         return None
@@ -316,13 +333,13 @@ def _score_cell(state: RoundingState, c: int, s: int, r: float, loss: np.ndarray
                     np.searchsorted(elig, inst.ev[inner]).tolist(), bonus[inner].tolist())
         score, local = _exact_subset(a[elig], pairs, capacity)
         return score, elig[local]
-    bonus = bonus.tolist()
-    score, in_set = _local_subset(elig, a, nbrs, bonus, capacity)
+    brow = bonus[nbrs[2]]  # the bonus of each index entry's edge
+    score, in_set = _local_subset(elig, a, nbrs, brow, capacity)
     # the (factor desc, index asc) prefixes include every threshold target
     # set and its capped truncation, so dominating them keeps the worst-case
     # guarantee
     by_factor = elig[np.argsort(-state.x[elig, c, s], kind="stable")]
-    t_score, t_mask = _best_prefix(by_factor, a, nbrs, bonus, capacity)
+    t_score, t_mask = _best_prefix(by_factor, a, nbrs, brow, capacity)
     if t_score > score + _TIE_EPS:
         score, in_set = t_score, t_mask
     return score, np.flatnonzero(in_set)
@@ -356,10 +373,8 @@ def avgd(inst: Instance, frac: FractionalSolution, r: float = 0.25,
     m, k = inst.m, inst.k
     pref, eu, ev, w = inst.pref, inst.eu, inst.ev, inst.w
     ends = np.column_stack([eu, ev]).ravel()  # (u, v) of each edge in turn
-    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(inst.n)]  # (partner, edge)
-    for e, (u, v) in enumerate(zip(eu.tolist(), ev.tolist())):
-        nbrs[u].append((v, e))
-        nbrs[v].append((u, e))
+    at = np.argsort(ends, kind="stable")  # each user's edge ends, in edge order
+    nbrs = (ends[at], ends[at ^ 1], at // 2, np.searchsorted(ends[at], np.arange(inst.n + 1)))
     cells: list[list] = [[None] * k for _ in range(m)]  # _score_cell per (c, s)
     fresh = np.zeros((m, k), dtype=bool)  # cells[c][s] is current
     while state.unfilled:

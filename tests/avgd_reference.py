@@ -7,6 +7,10 @@ the same ``(score, users)`` or None.  It relabels the eligible users of the
 cell to 0..q-1, lists the friendships among them as ``(i, j, bonus)`` pairs in
 edge order and, above ``EXACT_SUBSET_LIMIT`` users, builds per-user
 ``(partner, bonus)`` lists from those pairs for the local search.
+
+Each user's pair bonuses are added left to right from int 0 by ``running``,
+which is what ``sum`` did with floats before Python 3.12 (3.12's ``sum``
+compensates its rounding, so its last bits may differ).
 """
 
 from __future__ import annotations
@@ -16,6 +20,14 @@ from typing import Optional
 import numpy as np
 
 from codisplay.rounding import EXACT_SUBSET_LIMIT, _TIE_EPS, RoundingState, _masks
+
+
+def running(terms) -> float:
+    """Left-to-right sum of `terms` from int 0 (0 when there are none)."""
+    total = 0
+    for t in terms:
+        total += t
+    return total
 
 
 def adjacency(q: int, pairs: list[tuple[int, int, float]]) -> list[list[tuple[int, float]]]:
@@ -37,7 +49,7 @@ def best_prefix(order: np.ndarray, a: np.ndarray, adj: list[list[tuple[int, floa
     for t in range(min(q, capacity)):
         u = int(order[t])
         chosen[u] = True
-        score += a[u] + sum(b for v, b in adj[u] if chosen[v])
+        score += a[u] + running(b for v, b in adj[u] if chosen[v])
         if score > best_score:
             best_score, best_mask = score, chosen.copy()
     return best_score, best_mask
@@ -70,7 +82,7 @@ def best_subset(a: np.ndarray, pairs: list[tuple[int, int, float]],
     for _ in range(4 * q):  # strict improvement, terminates
         moved = False
         for u in range(q):
-            delta = a[u] + sum(b for v, b in adj[u] if in_set[v])
+            delta = a[u] + running(b for v, b in adj[u] if in_set[v])
             if in_set[u]:
                 if size > 1 and -delta > _TIE_EPS:
                     in_set[u] = False

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +104,22 @@ class TestSolve:
     def test_missing_algo_input_errors(self, fixture_files, capsys):
         code = run(["solve", "--algo", "avg-st", "--in", fixture_files["inst"]])
         assert code != 0  # fixture has no teleportation parameters
+
+    def test_runtime_excludes_the_relaxation(self, fixture_files, monkeypatch):
+        real = cd.lp.solve_fractional
+
+        def slow(inst):
+            time.sleep(0.2)
+            return real(inst)
+
+        monkeypatch.setattr(cd.lp, "solve_fractional", slow)
+        sol = fixture_files["dir"] / "sol.json"
+        t0 = time.perf_counter()
+        assert run(["solve", "--algo", "avgd", "--in", fixture_files["inst"],
+                    "--out", str(sol)]) == 0
+        wall_ms = (time.perf_counter() - t0) * 1000.0
+        # the wall holds the 200 ms solve and the rounding; runtime_ms only the latter
+        assert core.load_json(sol)["runtime_ms"] <= wall_ms - 200.0
 
 
 class TestReplay:
@@ -564,7 +581,11 @@ class TestBadInput:
         ["solve", "--algo", "indep", "--seed", "-1"],
         ["solve", "--algo", "sub-pref", "--seed", "-1"],
         ["compare", "--algos", "per,avg", "--seeds", "-1"],
-    ], ids=["avg", "avg-repeats", "indep", "sub-pref", "compare"])
+        ["compare", "--algos", "avgd,per", "--seeds", "-1"],
+        ["solve", "--algo", "avgd", "--seed", "-1"],
+        ["solve", "--algo", "per", "--seed", "-1"],
+    ], ids=["avg", "avg-repeats", "indep", "sub-pref", "compare", "compare-seed-free",
+            "avgd", "per"])
     def test_negative_seed(self, fixture_files, capsys, argv):
         code = run(argv + ["--in", fixture_files["inst"]])
         err = capsys.readouterr().err

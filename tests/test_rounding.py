@@ -1,7 +1,12 @@
 """Subgroup-formation rounding tests: CSF, replay, both solvers, size caps."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import codisplay as cd
 from codisplay import lp as lpm
@@ -19,6 +24,13 @@ from conftest import (
     random_suite,
     replay_sequence,
 )
+
+
+def neighbour_index(eu, ev, n):
+    """avgd's neighbour index of the edges (eu[e], ev[e]), built as `avgd` builds it."""
+    ends = np.column_stack([eu, ev]).ravel()
+    at = np.argsort(ends, kind="stable")
+    return ends[at], ends[at ^ 1], at // 2, np.searchsorted(ends[at], np.arange(n + 1))
 
 
 def small_state(x_col, cap=None):
@@ -518,6 +530,115 @@ class TestIncrementalAvgd:
             cd.avgd(example, example_frac, cap=0)
 
 
+# a score or bonus: a few exact values, so that scores tie, or any float of
+# either sign and magnitude, so that the order of every sum shows
+_TIED = st.sampled_from([0.0, 0.5, 1.0, 2.0])
+_SCORE = st.one_of(_TIED, st.sampled_from([-1.0, -0.5]),
+                   st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+_BONUS = st.one_of(_TIED, st.floats(0.0, 1e3, allow_nan=False, allow_infinity=False))
+
+
+def seeded_problem(rng, n, q, density, shift):
+    """(users, a, eu, ev, bonus): q sorted eligible users of n, a random graph
+    of the given density (edges in random order and orientation), normal
+    scores around `shift` and lognormal bonuses.  Below a negative shift the
+    local search makes long runs of moves, where a gain of three or more
+    terms shows the order of its sum."""
+    users = np.sort(rng.permutation(n)[:q])
+    iu, ju = np.triu_indices(n, 1)
+    keep = rng.permutation(np.flatnonzero(rng.random(iu.size) < density))
+    flip = rng.random(keep.size) < 0.5
+    eu, ev = np.where(flip, ju[keep], iu[keep]), np.where(flip, iu[keep], ju[keep])
+    return users, rng.normal(shift, 5.0, n), eu, ev, rng.lognormal(0.0, 2.0, keep.size)
+
+
+@st.composite
+def subset_problems(draw):
+    """(users, a, eu, ev, bonus, capacity) over n users: `users` is the sorted
+    eligible set, above EXACT_SUBSET_LIMIT users, and edges may join isolated
+    users or reach users outside it; a and bonus cover all users and edges."""
+    n = draw(st.integers(rounding.EXACT_SUBSET_LIMIT + 1, 24))
+    q = draw(st.integers(rounding.EXACT_SUBSET_LIMIT + 1, n))
+    if draw(st.booleans()):  # edges and values drawn one by one
+        users = np.sort(draw(st.permutations(range(n)))[:q]).astype(np.int64)
+        pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                              .filter(lambda p: p[0] != p[1]),
+                              unique_by=lambda p: frozenset(p), max_size=3 * n))
+        eu = np.array([u for u, _ in pairs], dtype=np.int64)
+        ev = np.array([v for _, v in pairs], dtype=np.int64)
+        a = np.array(draw(st.lists(_SCORE, min_size=n, max_size=n)))
+        bonus = np.array(draw(st.lists(_BONUS, min_size=eu.size, max_size=eu.size)))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        users, a, eu, ev, bonus = seeded_problem(
+            rng, n, q, draw(st.sampled_from([0.1, 0.3, 0.6, 0.9])),
+            draw(st.sampled_from([0.0, -5.0, -20.0])))
+    capacity = draw(st.one_of(st.just(1), st.integers(1, q + 2)))
+    return users, a, eu, ev, bonus, capacity
+
+
+def assert_search_matches_reference(users, a, eu, ev, bonus, capacity, order):
+    """`_best_prefix` over the users `users[order]` and `_local_subset` over
+    `users` against `avgd_reference` on the relabelled problem: the same
+    score, bit for bit, and the same users."""
+    inner = np.isin(eu, users) & np.isin(ev, users)
+    pairs = list(zip(np.searchsorted(users, eu[inner]).tolist(),
+                     np.searchsorted(users, ev[inner]).tolist(), bonus[inner].tolist()))
+    adj = avgd_reference.adjacency(users.size, pairs)
+    nbrs = neighbour_index(eu, ev, a.size)
+    brow = bonus[nbrs[2]]
+    score, mask = rounding._best_prefix(users[order], a, nbrs, brow, capacity)
+    want_score, want_mask = avgd_reference.best_prefix(order, a[users], adj, capacity)
+    assert float(score).hex() == float(want_score).hex()
+    assert np.flatnonzero(mask).tolist() == users[want_mask].tolist()
+    score, in_set = rounding._local_subset(users, a, nbrs, brow, capacity)
+    want_score, want_local = avgd_reference.best_subset(a[users], pairs, adj, capacity)
+    assert float(score).hex() == float(want_score).hex()
+    assert np.flatnonzero(in_set).tolist() == users[want_local].tolist()
+
+
+class TestArraySubsetSearch:
+    """The array passes of the large-cell search against the per-user sums of
+    `avgd_reference`."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(subset_problems(), st.randoms(use_true_random=False))
+    def test_matches_reference(self, problem, rand):
+        users = problem[0]
+        order = np.array(rand.sample(range(users.size), users.size))  # any user order
+        assert_search_matches_reference(*problem, order)
+
+    def test_seeded_dense_sweep_matches_reference(self):
+        # dense graphs and long move runs, where an out-of-order gain shows
+        rng = np.random.default_rng(14)
+        for _ in range(600):
+            n = int(rng.integers(rounding.EXACT_SUBSET_LIMIT + 1, 41))
+            q = int(rng.integers(rounding.EXACT_SUBSET_LIMIT + 1, n + 1))
+            problem = seeded_problem(rng, n, q, rng.choice([0.3, 0.6]), -20.0)
+            assert_search_matches_reference(*problem, int(rng.integers(1, q + 3)),
+                                            rng.permutation(q))
+
+    def test_add_at_and_cumsum_add_left_to_right(self):
+        # the search is exact only because np.add.at applies repeated indices
+        # in order and np.cumsum adds sequentially, as Python's running sums
+        # do; on these values the exact sum and the reversed order differ
+        vals = np.array([1.0, 1e16, -1e16] * 12)
+
+        def running(terms):
+            return list(itertools.accumulate(terms.tolist(), initial=0.0))[1:]
+
+        assert running(vals)[-1] == 0.0 != math.fsum(vals)
+        assert running(vals[::-1])[-1] == 1.0
+        assert np.cumsum(vals).tolist() == running(vals)
+        out = np.zeros(3)
+        np.add.at(out, np.zeros(vals.size, dtype=np.int64), vals)
+        assert out.tolist() == [0.0, 0.0, 0.0]
+        owner = (np.arange(vals.size, dtype=np.int64) // 3) % 2 + 1  # bins 1 and 2 take turns
+        np.add.at(out, owner, vals[::-1])
+        assert out.tolist() == [0.0, running(vals[::-1][owner == 1])[-1],
+                                running(vals[::-1][owner == 2])[-1]] == [0.0, 1.0, 1.0]
+
+
 class TestSizeCappedRounding:
     @pytest.mark.parametrize("cap", [0, -1, 2.5])
     @pytest.mark.parametrize("solve", [
@@ -574,7 +695,7 @@ class TestSizeCappedRounding:
         assert state.assign[0, 0] == -1
         assert state.xbar()[0, 0] == 0.0
         loss, q_es = np.zeros((3, 1)), np.zeros((0, 1))
-        nbrs = [[] for _ in range(3)]  # no friendships
+        nbrs = neighbour_index(np.zeros(0, np.int64), np.zeros(0, np.int64), 3)  # no friendships
         assert rounding._score_cell(state, 0, 0, 0.25, loss, q_es, nbrs) is None
         assert rounding._score_cell(state, 1, 0, 0.25, loss, q_es, nbrs) is not None
 

@@ -55,6 +55,7 @@ class RoundingState:
     Cells are never rewritten once set.  An (item, slot) subgroup holds at
     most `limit` users: the size cap, or n, which never binds.  The factors
     are copied, so zeroing those of a full subgroup leaves the caller's intact.
+    Only `assign_users` changes the state, so `xbar` is kept until it does.
     """
 
     def __init__(self, inst: Instance, frac: FractionalSolution, cap: Optional[int] = None):
@@ -70,6 +71,7 @@ class RoundingState:
         self.counts = np.zeros((inst.m, inst.k), dtype=np.int64)
         self.limit = int(limit)
         self.unfilled = inst.n * inst.k
+        self._xbar: Optional[np.ndarray] = None
 
     def eligible(self, u: int, c: int, s: int) -> bool:
         """True iff user u has slot s empty and has never been shown item c."""
@@ -83,14 +85,18 @@ class RoundingState:
         return self.limit - int(self.counts[c, s])
 
     def xbar(self) -> np.ndarray:
-        """(m, k) maximum factor over currently eligible users; 0 when none."""
-        empty = self.assign < 0  # (n, k)
-        mask = empty[:, None, :] & ~self.held[:, :, None]  # (n, m, k)
-        return np.where(mask, self.x, 0.0).max(axis=0)
+        """(m, k) maximum factor over currently eligible users; 0 when none.
+        Read-only, and recomputed only after `assign_users`."""
+        if self._xbar is None:
+            mask = (self.assign < 0)[:, None, :] & ~self.held[:, :, None]  # (n, m, k)
+            self._xbar = np.where(mask, self.x, 0.0).max(axis=0)
+            self._xbar.setflags(write=False)
+        return self._xbar
 
     def assign_users(self, users: Sequence[int], c: int, s: int) -> None:
         """Show item c at slot s to `users`; once the subgroup is full, zero
         the factors of its remaining eligible users so nothing selects it."""
+        self._xbar = None
         for u in users:
             if not self.eligible(u, c, s):
                 raise DomainError(f"user {u} is not eligible for item {c} at slot {s}")
@@ -202,8 +208,11 @@ def sample_focal(state: RoundingState, rng: np.random.Generator,
     """Draw one set of focal parameters at the current state (no assignment).
 
     The uniform sampler draws (c, s) uniformly and alpha from [0, 1] and
-    returns None when the target subgroup would be empty (a miss).  The
-    advanced sampler draws (c, s) proportionally to the maximum eligible
+    returns None when alpha exceeds the cached maximum eligible factor
+    `state.xbar()[c, s]`, so that the target subgroup would be empty (a
+    miss).  A cell with nobody eligible has maximum 0, and at alpha = 0 its
+    draw is returned and assigns nobody, which `avg` counts as a miss too.
+    The advanced sampler draws (c, s) proportionally to the maximum eligible
     factor and alpha from [0, that maximum], so its outcome distribution
     equals the uniform sampler conditioned on nonempty outcomes; it returns
     None only when no positive factor is left.
@@ -213,8 +222,7 @@ def sample_focal(state: RoundingState, rng: np.random.Generator,
         c = int(rng.integers(m))
         s = int(rng.integers(k))
         alpha = float(rng.random())
-        elig = state.eligible_users(c, s)
-        if elig.size == 0 or state.x[elig, c, s].max(initial=0.0) < alpha:
+        if state.xbar()[c, s] < alpha:
             return None
         return FocalParams(c, s, alpha)
     xb = state.xbar()
@@ -257,92 +265,134 @@ def _exact_subset(a: np.ndarray, pairs, capacity: int) -> tuple[float, np.ndarra
     return float(scores[best]), np.flatnonzero(bits[best])
 
 
-def _best_prefix(order: np.ndarray, a: np.ndarray, nbrs: tuple, brow: np.ndarray,
-                 capacity: int) -> tuple[float, np.ndarray]:
-    """Best nonempty prefix of the users `order` (at most `capacity` of them)
-    and its mask over all users.  A user adds a[u] plus the bonus of each
-    edge to an earlier chosen user, summed in edge order by `np.add.at`."""
-    owner, partner, _, _ = nbrs
-    pre = order[:capacity]
-    rank = np.full(a.size, pre.size)
-    rank[pre] = np.arange(pre.size)
-    later = rank[partner] < rank[owner]  # each edge inside the prefix, at its later end
-    inc = np.zeros(a.size)
-    np.add.at(inc, owner[later], brow[later])
-    scores = np.cumsum(a[pre] + inc[pre])
-    best = int(np.argmax(scores))
-    return scores[best], rank <= best
+def _rows(ptr: np.ndarray, users: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The neighbour-index entries of `users`, one CSR row after another, and
+    the length of each row."""
+    ln = ptr[users + 1] - ptr[users]
+    return np.arange(ln.sum()) + np.repeat(ptr[users + 1] - np.cumsum(ln), ln), ln
 
 
-def _local_subset(users: np.ndarray, a: np.ndarray, nbrs: tuple, brow: np.ndarray,
-                  capacity: int) -> tuple[float, np.ndarray]:
-    """The `_exact_subset` problem over `users` for sets too large to
-    enumerate, as a mask over all users: seeded from the best descending-score
-    prefix and improved by single-user moves, a documented approximation.
-    A user's gain, its bonus to chosen partners, is summed again on a move."""
-    owner, partner, _, ptr = nbrs
-    order = users[np.argsort(-a[users], kind="stable")]
-    score, in_set = _best_prefix(order, a, nbrs, brow, capacity)
-    size = int(in_set.sum())
-    gain = np.zeros(a.size)
-    hit = in_set[partner]
-    np.add.at(gain, owner[hit], brow[hit])
-    for _ in range(4 * users.size):  # strict improvement, terminates
-        pos = 0
-        while pos < users.size:  # the first improving move from `pos` on
-            delta, inside = a[users[pos:]] + gain[users[pos:]], in_set[users[pos:]]
-            ok = np.where(inside, (-delta > _TIE_EPS) & (size > 1),
-                          (delta > _TIE_EPS) & (size < capacity))
-            i = int(np.argmax(ok))
-            if not ok[i]:
-                break
-            u, step = int(users[pos + i]), (-1 if inside[i] else 1)  # drop u, or add u
-            in_set[u] = not in_set[u]
-            size += step
-            score += step * delta[i]
-            pos += i + 1
-            near = partner[ptr[u]:ptr[u + 1]]  # sum their rows again, in edge order
-            ln = ptr[near + 1] - ptr[near]
-            at = np.arange(ln.sum()) + np.repeat(ptr[near + 1] - np.cumsum(ln), ln)
-            at = at[in_set[partner[at]]]
-            gain[near] = 0.0
-            np.add.at(gain, owner[at], brow[at])
-        if not pos:  # no move in this pass
-            break
-    return float(score), in_set
+def _best_prefix(order: np.ndarray, length: np.ndarray, a: np.ndarray, eu: np.ndarray,
+                 ev: np.ndarray, bonus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Best nonempty prefix of the users order[j, :length[j]] of each order j,
+    as (scores, masks over all users).  Order j ranks the users of row
+    b = j % len(a), whose linear scores are a[b] and whose edge bonuses are
+    bonus[:, b], so one call may take several orders per row.  A user adds
+    its linear score plus the bonus of each edge to an earlier chosen user:
+    each edge (eu[e], ev[e]) is charged to its later end by one `np.bincount`
+    over flat (order, position) targets, edge by edge, and an edge with an
+    end outside the prefix to a spare target."""
+    orders, n = order.shape
+    width = int(length.max())
+    pos = np.arange(width)
+    rank = np.full((n, orders), width)  # the position of each user in each order
+    rank[order[:, :width], np.arange(orders)[:, None]] = np.where(pos < length[:, None], pos, width)
+    later = np.maximum(rank[eu], rank[ev]) + np.arange(orders) * (width + 1)
+    inc = np.bincount(later.ravel(), weights=np.tile(bonus, orders // len(a)).ravel(),
+                      minlength=orders * (width + 1)).reshape(orders, width + 1)
+    row = np.arange(orders)[:, None]
+    scores = np.cumsum(a[row % len(a), order[:, :width]] + inc[:, :width], axis=1)
+    scores[pos >= length[:, None]] = -np.inf
+    best = scores.argmax(axis=1)
+    return scores[row[:, 0], best], rank.T <= best[:, None]
 
 
-def _score_cell(state: RoundingState, c: int, s: int, r: float, loss: np.ndarray,
-                q_es: np.ndarray, nbrs: tuple) -> Optional[tuple[float, np.ndarray]]:
-    """avgd's best subgroup of cell (c, s) as (score, users); None when the
-    cell is full or has nobody eligible.  `nbrs` is (owner, partner, edge, ptr):
-    entries ptr[u]:ptr[u + 1] hold user u's (partner, edge) pairs in edge
-    order.  An ineligible partner is never chosen."""
-    capacity = state.room(c, s)
-    if capacity <= 0:
-        return None
-    elig = state.eligible_users(c, s)
-    if elig.size == 0:
-        return None
+def _local_subset(elig: np.ndarray, room: np.ndarray, a: np.ndarray, nbrs: tuple,
+                  bonus: np.ndarray, score: np.ndarray,
+                  in_set: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The `_exact_subset` problem of each row b over its users elig[b], too
+    many to enumerate, with at most room[b] of them: the seed set in_set[b],
+    of score score[b], improved in place by single-user moves, a documented
+    approximation, and returned.  The rows move in lockstep, each to its
+    next first improving move; a user's gain, its bonus to chosen partners,
+    is summed again when a partner moves.  `nbrs` is (owner, partner, edge,
+    ptr): entries ptr[u]:ptr[u + 1] hold user u's (partner, edge) pairs in
+    edge order."""
+    owner, partner, edge, ptr = nbrs
+    rows, n = a.shape
+    size = in_set.sum(axis=1)
+    b, at = np.nonzero(in_set[:, partner])
+    gain = np.bincount(b * n + owner[at], weights=bonus[edge[at], b],
+                       minlength=rows * n).reshape(rows, n)
+    left = 4 * elig.sum(axis=1) - 1  # how many more passes row b may start
+    # row b seeks its next move from user start[b] on, which is above 0 once
+    # it has moved in its current pass
+    start = np.zeros(rows, dtype=np.int64)
+    live, cols = np.arange(rows), np.arange(n)
+    while live.size:  # strict improvement, terminates
+        inside, sz = in_set[live], size[live, None]
+        delta = a[live] + gain[live]
+        signed = np.where(inside, -delta, delta)  # the change of the score on a move
+        ok = (signed > _TIE_EPS) & np.where(inside, sz > 1, sz < room[live, None])
+        ok &= elig[live] & (cols >= start[live, None])
+        u = ok.argmax(axis=1)
+        hit = ok[np.arange(live.size), u]
+        ended = live[~hit]  # a pass without a further move ends; one with a move starts another
+        ended = ended[(start[ended] > 0) & (left[ended] > 0)]
+        left[ended] -= 1
+        start[ended] = 0
+        i = np.flatnonzero(hit)
+        if not i.size:
+            live = ended
+            continue
+        b, u, drop = live[i], u[i], inside[i, u[i]]
+        in_set[b, u] = ~drop
+        size[b] += np.where(drop, -1, 1)
+        score[b] += signed[i, u]
+        start[b] = u + 1
+        at, ln = _rows(ptr, u)  # sum the partners' rows again, in edge order
+        b, near = np.repeat(b, ln), partner[at]
+        at, ln = _rows(ptr, near)
+        gain[b, near] = 0.0
+        b = np.repeat(b, ln)
+        keep = in_set[b, partner[at]]
+        b, at = b[keep], at[keep]
+        np.add.at(gain, (b, owner[at]), bonus[edge[at], b])
+        live = np.concatenate([live[i], ended])
+    return score, in_set
+
+
+def _score_cells(state: RoundingState, cs: np.ndarray, ss: np.ndarray, r: float,
+                 loss: np.ndarray, q_es: np.ndarray, nbrs: tuple) -> list:
+    """avgd's best subgroup of each cell (cs[b], ss[b]) as (score, users); None
+    when the cell is full or has nobody eligible.  `nbrs` is avgd's neighbour
+    index (see `_local_subset`).  Cells above EXACT_SUBSET_LIMIT eligible
+    users are searched together as the rows of one batch; an ineligible
+    partner is never chosen."""
     inst = state.inst
-    a = inst.pref[:, c] - r * loss[:, s]  # linear score of every user
-    bonus = inst.w[:, c] + r * q_es[:, s]  # pair bonus of every edge
-    if elig.size <= EXACT_SUBSET_LIMIT:
-        inner = inst.edges_within(elig)
-        pairs = zip(np.searchsorted(elig, inst.eu[inner]).tolist(),
-                    np.searchsorted(elig, inst.ev[inner]).tolist(), bonus[inner].tolist())
-        score, local = _exact_subset(a[elig], pairs, capacity)
-        return score, elig[local]
-    brow = bonus[nbrs[2]]  # the bonus of each index entry's edge
-    score, in_set = _local_subset(elig, a, nbrs, brow, capacity)
-    # the (factor desc, index asc) prefixes include every threshold target
-    # set and its capped truncation, so dominating them keeps the worst-case
-    # guarantee
-    by_factor = elig[np.argsort(-state.x[elig, c, s], kind="stable")]
-    t_score, t_mask = _best_prefix(by_factor, a, nbrs, brow, capacity)
-    if t_score > score + _TIE_EPS:
-        score, in_set = t_score, t_mask
-    return score, np.flatnonzero(in_set)
+    room = state.limit - state.counts[cs, ss]
+    elig = (state.assign.T[ss] < 0) & ~state.held.T[cs]  # (cells, n)
+    q = elig.sum(axis=1)
+    a = inst.pref.T[cs] - r * loss.T[ss]  # linear score of every user
+    bonus = inst.w[:, cs] + r * q_es[:, ss]  # (E, cells) pair bonus of every edge
+    out: list = [None] * cs.size
+    for b in np.flatnonzero((room > 0) & (q > 0) & (q <= EXACT_SUBSET_LIMIT)):
+        users = np.flatnonzero(elig[b])
+        inner = inst.edges_within(users)
+        pairs = zip(np.searchsorted(users, inst.eu[inner]).tolist(),
+                    np.searchsorted(users, inst.ev[inner]).tolist(), bonus[inner, b].tolist())
+        score, local = _exact_subset(a[b, users], pairs, room[b])
+        out[b] = (score, users[local])
+    large = np.flatnonzero((room > 0) & (q > EXACT_SUBSET_LIMIT))
+    if large.size:
+        rows = large.size
+        elig, room, a, bonus = elig[large], room[large], a[large], bonus[:, large]
+        # the best prefix in descending-score order seeds the local search;
+        # the (factor desc, index asc) prefixes include every threshold target
+        # set and its capped truncation, so dominating them keeps the
+        # worst-case guarantee
+        keys = np.where(elig, -np.stack([a, state.x[:, cs[large], ss[large]].T]), np.inf)
+        order = np.argsort(keys, axis=2, kind="stable").reshape(2 * rows, inst.n)
+        score, in_set = _best_prefix(order, np.tile(np.minimum(q[large], room), 2), a,
+                                     inst.eu, inst.ev, bonus)
+        t_score, t_mask = score[rows:], in_set[rows:]
+        score, in_set = _local_subset(elig, room, a, nbrs, bonus, score[:rows], in_set[:rows])
+        better = t_score > score + _TIE_EPS
+        score[better], in_set[better] = t_score[better], t_mask[better]
+        users = np.split(np.nonzero(in_set)[1], np.cumsum(in_set.sum(axis=1))[:-1])
+        for b, cell in zip(large, zip(score.tolist(), users)):
+            out[b] = cell
+    return out
 
 
 def avgd(inst: Instance, frac: FractionalSolution, r: float = 0.25,
@@ -354,7 +404,7 @@ def avgd(inst: Instance, frac: FractionalSolution, r: float = 0.25,
     the realized preference plus social weight inside S and OPT_LP is the
     fractional value of the cells not yet assigned.  The subgroup search
     covers every threshold set and is refined to the exact maximizer (see
-    _score_cell); ties break to the lowest item, then slot, then the
+    _score_cells); ties break to the lowest item, then slot, then the
     enumeration order of subsets.  With r = 1/4 the output is worst-case
     4-approximate.  When given, `trace` receives one record per step, its
     "iteration" being the trace's length before the record.
@@ -364,8 +414,12 @@ def avgd(inst: Instance, frac: FractionalSolution, r: float = 0.25,
     fills the subgroup, the factors x[:, c, s]; a cell (c', s') with c' != c
     and s' != s therefore keeps its eligible set, linear scores, pair
     bonuses, room and factor order, hence its exact (score, users).  So only the m + k - 1
-    cells of row c and column s are rescored, and a fallback assignment,
-    which may touch any cell, rescores all of them.
+    cells of row c and column s are rescored, as one `_score_cells` batch,
+    and a fallback assignment, which may touch any cell, rescores all of them.
+    Likewise a step recomputes only the pair values of (c, s) and the loss of
+    slot s; the pair sums still reduce the whole (E, m, k) array, since
+    reducing one slot's slice would make numpy sum pairwise and change the
+    last bits.
     """
     if not (np.isfinite(r) and r >= 0):
         raise DomainError(f"balancing ratio must be finite and nonnegative, got {r}")
@@ -375,8 +429,9 @@ def avgd(inst: Instance, frac: FractionalSolution, r: float = 0.25,
     ends = np.column_stack([eu, ev]).ravel()  # (u, v) of each edge in turn
     at = np.argsort(ends, kind="stable")  # each user's edge ends, in edge order
     nbrs = (ends[at], ends[at ^ 1], at // 2, np.searchsorted(ends[at], np.arange(inst.n + 1)))
-    cells: list[list] = [[None] * k for _ in range(m)]  # _score_cell per (c, s)
+    cells: list[list] = [[None] * k for _ in range(m)]  # _score_cells per (c, s)
     fresh = np.zeros((m, k), dtype=bool)  # cells[c][s] is current
+    loss = np.zeros((inst.n, k))
     while state.unfilled:
         if _fallback_fill(state):
             fresh[:] = False
@@ -384,21 +439,24 @@ def avgd(inst: Instance, frac: FractionalSolution, r: float = 0.25,
             break
         xt = state.x
         empty = state.assign < 0  # (n, k)
+        if not fresh.any():  # any factor may have changed
+            pair = w[:, :, None] * np.minimum(xt[eu], xt[ev])  # (E, m, k)
+            slots = slice(None)
         lpref = np.einsum("uc,ucs->us", pref, xt)  # value of each open cell
-        q_es = (w[:, :, None] * np.minimum(xt[eu], xt[ev])).sum(axis=1)  # (E, k)
+        q_es = pair.sum(axis=1)  # (E, k)
         both_open = empty[eu] & empty[ev]
-        opt_cur = float(lpref[empty].sum()) + float(q_es[both_open].sum())
         # linear loss of closing a cell: its own value plus pair terms shared
         # with still-open same-slot partners, added edge by edge
-        loss = np.where(empty, lpref, 0.0)
-        np.add.at(loss, ends, np.repeat(both_open * q_es, 2, axis=0))
+        loss[:, slots] = np.where(empty[:, slots], lpref[:, slots], 0.0)
+        np.add.at(loss[:, slots], ends, np.repeat(both_open[:, slots] * q_es[:, slots], 2, axis=0))
 
+        stale = np.nonzero(~fresh)
+        for c, s, cell in zip(*stale, _score_cells(state, *stale, r, loss, q_es, nbrs)):
+            cells[c][s] = cell
+        fresh[:] = True
         best = None  # (score, c, s, users)
         for c in range(m):
             for s in range(k):
-                if not fresh[c, s]:
-                    cells[c][s] = _score_cell(state, c, s, r, loss, q_es, nbrs)
-                    fresh[c, s] = True
                 cell = cells[c][s]
                 if cell is not None and (best is None or cell[0] > best[0] + _TIE_EPS):
                     best = (cell[0], c, s, cell[1])
@@ -409,6 +467,7 @@ def avgd(inst: Instance, frac: FractionalSolution, r: float = 0.25,
             continue
         score, c, s, users = best
         if trace is not None:
+            opt_cur = float(lpref[empty].sum()) + float(q_es[both_open].sum())
             inner = inst.edges_within(users)
             alg = float(pref[users, c].sum()) + running_sum(w[inner, c])
             lost = float(loss[users, s].sum()) - running_sum(q_es[inner, s])
@@ -426,6 +485,9 @@ def avgd(inst: Instance, frac: FractionalSolution, r: float = 0.25,
         state.assign_users([int(u) for u in users], int(c), int(s))
         fresh[c, :] = False
         fresh[:, s] = False
+        # only the factors x[:, c, s] and the open cells of slot s changed
+        pair[:, c, s] = w[:, c] * np.minimum(xt[eu, c, s], xt[ev, c, s])
+        slots = slice(s, s + 1)
     return state.to_configuration()
 
 

@@ -109,6 +109,43 @@ class TestCsfStep:
                 want = max((state.x[u, c, s] for u in elig), default=0.0)
                 assert xb[c, s] == pytest.approx(want)
 
+    def test_xbar_cache_follows_every_change(self):
+        # a starving cap, so that the run zeroes factors and falls back
+        inst = cd.gen_random(20, 8, 3, edge_prob=0.2, seed=5)
+        frac, _ = lpm.solve_fractional(inst)
+        state = RoundingState(inst, frac, cap=3)
+        assert_xbar_fresh(state)
+        assert state.xbar() is state.xbar() and not state.xbar().flags.writeable
+        rng = seeded_rng(0)
+        kinds = set()
+        while state.unfilled:
+            focal = rounding.sample_focal(state, rng, "advanced")
+            if focal is None:
+                assert rounding._fallback_fill(state) > 0
+                kinds.add("fallback")
+            else:
+                zeroing = len(rounding.csf_step(state, focal)) and state.room(focal.c, focal.s) == 0
+                kinds.add("zeroing step" if zeroing else "step")
+            assert_xbar_fresh(state)
+        assert kinds == {"step", "zeroing step", "fallback"}
+
+    def test_xbar_cache_follows_cap_zeroing(self):
+        state, _ = small_state([0.5, 0.4, 0.3], cap=2)
+        assert state.xbar()[0, 0] == 0.5
+        state.assign_users([0, 1], 0, 0)  # fills the subgroup, zeroes user 2's factor
+        assert state.x[2, 0, 0] == 0.0
+        assert_xbar_fresh(state)
+        assert state.xbar()[0, 0] == 0.0
+
+
+def assert_xbar_fresh(state):
+    """`state.xbar()` equals the maximum factor over each cell's eligible
+    users, recomputed cell by cell (0 when none), exactly."""
+    m, k = state.inst.m, state.inst.k
+    want = [[state.x[state.eligible_users(c, s), c, s].max(initial=0.0) for s in range(k)]
+            for c in range(m)]
+    assert state.xbar().tolist() == want
+
 
 class TestReplay:
     def test_reproduces_recorded_walkthrough(self, example, example_frac):
@@ -197,17 +234,26 @@ class TestAvg:
             y_e = np.minimum(x[e.u], x[e.v]).sum(axis=1)
             assert (p_pair[ei] >= y_e / 4 - 3 * sig_p[ei] - 1e-12).all()
 
+    # ((n, m, k, edge_prob, instance seed, cap, rng_seed), counters)
     @pytest.mark.parametrize("sampler,expected", [
-        ("uniform", {"samples": 101, "iterations": 4, "fallback_cells": 12}),
-        ("advanced", {"samples": 4, "iterations": 4, "fallback_cells": 12}),
+        ("uniform", [((12, 6, 2, 0.3, 0, 3, 0), {"samples": 101, "iterations": 4, "fallback_cells": 12}),
+                     ((12, 6, 2, 0.3, 0, 3, 1), {"samples": 92, "iterations": 4, "fallback_cells": 12}),
+                     ((20, 8, 3, 0.2, 5, 3, 0), {"samples": 218, "iterations": 10, "fallback_cells": 32}),
+                     ((20, 8, 3, 0.2, 5, 3, 1), {"samples": 270, "iterations": 10, "fallback_cells": 32})]),
+        ("advanced", [((12, 6, 2, 0.3, 0, 3, 0), {"samples": 4, "iterations": 4, "fallback_cells": 12}),
+                      ((20, 8, 3, 0.2, 5, 3, 0), {"samples": 10, "iterations": 10, "fallback_cells": 32}),
+                      ((30, 10, 3, 0.1, 7, 3, 0), {"samples": 18, "iterations": 18, "fallback_cells": 46}),
+                      ((30, 10, 3, 0.1, 7, 3, 1), {"samples": 17, "iterations": 17, "fallback_cells": 46})]),
     ])
     def test_stats_counters(self, sampler, expected):
-        # the counters of earlier versions on a cap that starves most cells
-        inst = cd.gen_random(12, 6, 2, edge_prob=0.3, seed=0)
-        frac, _ = lpm.solve_fractional(inst)
-        stats = {}
-        cd.avg(inst, frac, rng_seed=0, sampler=sampler, cap=3, stats=stats)
-        assert stats == expected
+        # the counters of earlier versions (before the cached xbar) on caps
+        # that starve most cells
+        for (n, m, k, p, seed, cap, rng_seed), counters in expected:
+            inst = cd.gen_random(n, m, k, edge_prob=p, seed=seed)
+            frac, _ = lpm.solve_fractional(inst)
+            stats = {}
+            cd.avg(inst, frac, rng_seed=rng_seed, sampler=sampler, cap=cap, stats=stats)
+            assert stats == counters, (n, m, k, cap, rng_seed)
 
     def test_best_of_dominates_single_run(self, example, example_frac):
         single = cd.total_objective(
@@ -401,26 +447,34 @@ class TestLargeEligibleSets:
                     assert cd.total_objective(inst, cfg, "unit_sum") <= bound + 1e-9
 
 
+def lp_terms(state):
+    """(opt_cur, loss, q_es) of `state` as avgd computes them on its first
+    step: the relaxation value of the open cells, the linear loss of closing
+    each cell and each edge's pair value per slot."""
+    inst = state.inst
+    xt, empty, eu, ev = state.x, state.assign < 0, inst.eu, inst.ev
+    lpref = np.einsum("uc,ucs->us", inst.pref, xt)
+    q_es = (inst.w[:, :, None] * np.minimum(xt[eu], xt[ev])).sum(axis=1)
+    both_open = empty[eu] & empty[ev]
+    opt_cur = float(lpref[empty].sum()) + float(q_es[both_open].sum())
+    loss = np.where(empty, lpref, 0.0)
+    np.add.at(loss, np.column_stack([eu, ev]).ravel(), np.repeat(both_open * q_es, 2, axis=0))
+    return opt_cur, loss, q_es
+
+
 def _avgd_full_rescore(inst, frac, r, trace, cap=None):
-    """Reference avgd that rescores every (item, slot) on every step (the
-    solver before its cell cache) through the per-cell pair-list search of
-    `avgd_reference`; same tie rule and trace records."""
+    """Reference avgd that recomputes every relaxation term and rescores
+    every (item, slot) on every step (the solver before its cell cache)
+    through the per-cell pair-list search of `avgd_reference`; same tie rule
+    and trace records."""
     state = RoundingState(inst, frac, cap=cap)
-    pref, eu, ev, w = inst.pref, inst.eu, inst.ev, inst.w
-    ends = np.column_stack([eu, ev]).ravel()
+    pref, w = inst.pref, inst.w
     it = 0
     while state.unfilled:
         rounding._fallback_fill(state)
         if not state.unfilled:
             break
-        xt = state.x
-        empty = state.assign < 0
-        lpref = np.einsum("uc,ucs->us", pref, xt)
-        q_es = (w[:, :, None] * np.minimum(xt[eu], xt[ev])).sum(axis=1)
-        both_open = empty[eu] & empty[ev]
-        opt_cur = float(lpref[empty].sum()) + float(q_es[both_open].sum())
-        loss = np.where(empty, lpref, 0.0)
-        np.add.at(loss, ends, np.repeat(both_open * q_es, 2, axis=0))
+        opt_cur, loss, q_es = lp_terms(state)
         best = None
         for c in range(inst.m):
             for s in range(inst.k):
@@ -436,7 +490,7 @@ def _avgd_full_rescore(inst, frac, r, trace, cap=None):
         lost = float(loss[users, s].sum()) - running_sum(q_es[inner, s])
         opt_fut = opt_cur - lost
         trace.append({"iteration": it, "c": int(c), "s": int(s),
-                      "alpha": float(xt[users, c, s].min()),
+                      "alpha": float(state.x[users, c, s].min()),
                       "users": [int(u) for u in users], "alg": alg,
                       "opt_lp_fut": opt_fut, "f": alg + r * opt_fut})
         state.assign_users([int(u) for u in users], int(c), int(s))
@@ -496,9 +550,9 @@ class TestIncrementalAvgd:
         inst = cd.gen_random(16, 5, 3, edge_prob=0.4, seed=4300)
         m, k = inst.m, inst.k
         calls = []
-        real = rounding._score_cell
-        monkeypatch.setattr(rounding, "_score_cell",
-                            lambda *args: calls.append(1) or real(*args))
+        real = rounding._score_cells
+        monkeypatch.setattr(rounding, "_score_cells",
+                            lambda state, cs, *args: calls.extend(cs) or real(state, cs, *args))
 
         class Steps(list):
             def append(self, step):
@@ -577,51 +631,83 @@ def subset_problems(draw):
     return users, a, eu, ev, bonus, capacity
 
 
-def assert_search_matches_reference(users, a, eu, ev, bonus, capacity, order):
-    """`_best_prefix` over the users `users[order]` and `_local_subset` over
-    `users` against `avgd_reference` on the relabelled problem: the same
-    score, bit for bit, and the same users."""
-    inner = np.isin(eu, users) & np.isin(ev, users)
-    pairs = list(zip(np.searchsorted(users, eu[inner]).tolist(),
-                     np.searchsorted(users, ev[inner]).tolist(), bonus[inner].tolist()))
-    adj = avgd_reference.adjacency(users.size, pairs)
-    nbrs = neighbour_index(eu, ev, a.size)
-    brow = bonus[nbrs[2]]
-    score, mask = rounding._best_prefix(users[order], a, nbrs, brow, capacity)
-    want_score, want_mask = avgd_reference.best_prefix(order, a[users], adj, capacity)
-    assert float(score).hex() == float(want_score).hex()
-    assert np.flatnonzero(mask).tolist() == users[want_mask].tolist()
-    score, in_set = rounding._local_subset(users, a, nbrs, brow, capacity)
-    want_score, want_local = avgd_reference.best_subset(a[users], pairs, adj, capacity)
-    assert float(score).hex() == float(want_score).hex()
-    assert np.flatnonzero(in_set).tolist() == users[want_local].tolist()
+def assert_batch_matches_reference(n, eu, ev, rows):
+    """One batch of `_best_prefix` over the users users[order] and of
+    `_local_subset` over `users`, one row per (users, a, bonus, capacity,
+    order) of `rows` on the edges (eu, ev) among n users, against
+    `avgd_reference` on each row: the same score, bit for bit, and the same
+    users as the per-user sums over the relabelled problem and as the
+    per-cell passes over the neighbour index."""
+    nbrs = neighbour_index(eu, ev, n)
+    elig = np.zeros((len(rows), n), dtype=bool)
+    order = np.zeros((len(rows), n), dtype=np.int64)
+    for b, (users, _, _, _, o) in enumerate(rows):
+        elig[b, users] = True
+        order[b] = np.concatenate([users[o], np.flatnonzero(~elig[b])])
+    a = np.array([row[1] for row in rows])
+    bonus = np.array([row[2] for row in rows]).reshape(len(rows), eu.size).T  # (E, rows)
+    room = np.array([row[3] for row in rows])
+    length = np.minimum(elig.sum(axis=1), room)
+    # the given orders and the descending-score orders that seed the local
+    # search, as two orders per row in one call
+    by_score = np.argsort(np.where(elig, -a, np.inf), axis=1, kind="stable")
+    score, mask = rounding._best_prefix(np.concatenate([order, by_score]), np.tile(length, 2),
+                                        a, eu, ev, bonus)
+    got_prefix = score[:len(rows)], mask[:len(rows)]
+    got_local = rounding._local_subset(elig, room, a, nbrs, bonus, score[len(rows):],
+                                       mask[len(rows):])
+    for b, (users, a_b, bonus_b, capacity, o) in enumerate(rows):
+        inner = np.isin(eu, users) & np.isin(ev, users)
+        pairs = list(zip(np.searchsorted(users, eu[inner]).tolist(),
+                         np.searchsorted(users, ev[inner]).tolist(), bonus_b[inner].tolist()))
+        adj = avgd_reference.adjacency(users.size, pairs)
+        brow = bonus_b[nbrs[2]]  # the bonus of each index entry's edge
+        score, mask = avgd_reference.best_prefix(o, a_b[users], adj, capacity)
+        i_score, i_mask = avgd_reference.indexed_best_prefix(users[o], a_b, nbrs, brow, capacity)
+        got = (got_prefix[0][b].hex(), np.flatnonzero(got_prefix[1][b]).tolist())
+        assert got == (float(score).hex(), users[mask].tolist())
+        assert got == (float(i_score).hex(), np.flatnonzero(i_mask).tolist())
+        score, local = avgd_reference.best_subset(a_b[users], pairs, adj, capacity)
+        i_score, i_mask = avgd_reference.indexed_local_subset(users, a_b, nbrs, brow, capacity)
+        got = (got_local[0][b].hex(), np.flatnonzero(got_local[1][b]).tolist())
+        assert got == (float(score).hex(), users[local].tolist())
+        assert got == (float(i_score).hex(), np.flatnonzero(i_mask).tolist())
 
 
 class TestArraySubsetSearch:
-    """The array passes of the large-cell search against the per-user sums of
-    `avgd_reference`."""
+    """The batched array passes of the large-cell search against the per-user
+    sums and the per-cell passes of `avgd_reference`."""
 
     @settings(max_examples=300, deadline=None)
     @given(subset_problems(), st.randoms(use_true_random=False))
     def test_matches_reference(self, problem, rand):
-        users = problem[0]
+        users, a, eu, ev, bonus, capacity = problem
         order = np.array(rand.sample(range(users.size), users.size))  # any user order
-        assert_search_matches_reference(*problem, order)
+        assert_batch_matches_reference(a.size, eu, ev, [(users, a, bonus, capacity, order)])
 
     def test_seeded_dense_sweep_matches_reference(self):
-        # dense graphs and long move runs, where an out-of-order gain shows
+        # dense graphs and long move runs, where an out-of-order gain shows;
+        # the rows of a batch share a graph and move in lockstep
         rng = np.random.default_rng(14)
-        for _ in range(600):
+        for _ in range(200):
             n = int(rng.integers(rounding.EXACT_SUBSET_LIMIT + 1, 41))
-            q = int(rng.integers(rounding.EXACT_SUBSET_LIMIT + 1, n + 1))
-            problem = seeded_problem(rng, n, q, rng.choice([0.3, 0.6]), -20.0)
-            assert_search_matches_reference(*problem, int(rng.integers(1, q + 3)),
-                                            rng.permutation(q))
+            rows = []
+            for _ in range(int(rng.integers(1, 6))):
+                q = int(rng.integers(rounding.EXACT_SUBSET_LIMIT + 1, n + 1))
+                if not rows:
+                    users, a, eu, ev, bonus = seeded_problem(rng, n, q, rng.choice([0.3, 0.6]),
+                                                             -20.0)
+                else:
+                    users = np.sort(rng.permutation(n)[:q])
+                    a, bonus = rng.normal(-20.0, 5.0, n), rng.lognormal(0.0, 2.0, eu.size)
+                rows.append((users, a, bonus, int(rng.integers(1, q + 3)), rng.permutation(q)))
+            assert_batch_matches_reference(n, eu, ev, rows)
 
     def test_add_at_and_cumsum_add_left_to_right(self):
-        # the search is exact only because np.add.at applies repeated indices
-        # in order and np.cumsum adds sequentially, as Python's running sums
-        # do; on these values the exact sum and the reversed order differ
+        # the search is exact only because np.add.at and np.bincount apply
+        # repeated indices in order and np.cumsum adds sequentially, as
+        # Python's running sums do; on these values the exact sum and the
+        # reversed order differ
         vals = np.array([1.0, 1e16, -1e16] * 12)
 
         def running(terms):
@@ -637,6 +723,86 @@ class TestArraySubsetSearch:
         np.add.at(out, owner, vals[::-1])
         assert out.tolist() == [0.0, running(vals[::-1][owner == 1])[-1],
                                 running(vals[::-1][owner == 2])[-1]] == [0.0, 1.0, 1.0]
+        assert np.bincount(owner, weights=vals[::-1], minlength=3).tolist() == out.tolist()
+        assert np.bincount(np.zeros(vals.size, dtype=np.int64), weights=vals).tolist() == [0.0]
+
+
+def mid_run_state(rng, n, m, k, edge_prob, cap, steps):
+    """A rounding state of a gen_random instance with random factors (about
+    three in ten zero) after `steps` random assignments, each to a random
+    cell; half of them leave one place in the cell or one eligible user."""
+    inst = cd.gen_random(n, m, k, edge_prob=edge_prob, seed=int(rng.integers(2**31)))
+    x = rng.random((n, m, k)) * (rng.random((n, m, k)) < 0.7)
+    state = RoundingState(inst, cd.FractionalSolution(x), cap=cap)
+    for _ in range(steps):
+        c, s = int(rng.integers(m)), int(rng.integers(k))
+        elig = state.eligible_users(c, s)
+        most = min(elig.size, state.room(c, s))
+        size = most - 1 if rng.random() < 0.5 else int(rng.integers(0, most + 1))
+        if size > 0:
+            state.assign_users(rng.choice(elig, size, replace=False).tolist(), c, s)
+    return state
+
+
+def assert_cells_match_reference(state, r, cs, ss):
+    """`_score_cells` over the cells (cs[b], ss[b]) as one batch against both
+    per-cell searches of `avgd_reference`: the same score, bit for bit, and
+    the same users, or None alike.  Returns the kinds of rows seen."""
+    inst, limit = state.inst, rounding.EXACT_SUBSET_LIMIT
+    _, loss, q_es = lp_terms(state)
+    nbrs = neighbour_index(inst.eu, inst.ev, inst.n)
+    kinds = set()
+    for c, s, cell in zip(cs.tolist(), ss.tolist(),
+                          rounding._score_cells(state, cs, ss, r, loss, q_es, nbrs)):
+        for want in (avgd_reference.score_cell(state, c, s, r, loss, q_es),
+                     avgd_reference.indexed_score_cell(state, c, s, r, loss, q_es, nbrs)):
+            assert (cell is None) == (want is None)
+            if cell is not None:
+                assert float(cell[0]).hex() == float(want[0]).hex()
+                assert cell[1].tolist() == want[1].tolist()
+        if cell is None:
+            continue
+        elig, room = state.eligible_users(c, s), state.room(c, s)
+        kinds.add("exact" if elig.size <= limit else "large")
+        kinds |= {"capacity 1"} if room == 1 else set()
+        if elig.size > limit:  # a row moves iff its local search leaves the seed prefix
+            a = inst.pref[:, c] - r * loss[:, s]
+            brow = (inst.w[:, c] + r * q_es[:, s])[nbrs[2]]
+            seed = avgd_reference.indexed_best_prefix(
+                elig[np.argsort(-a[elig], kind="stable")], a, nbrs, brow, room)[0]
+            if avgd_reference.indexed_local_subset(elig, a, nbrs, brow, room)[0] != seed:
+                kinds.add("moved")
+    return kinds | ({"mixed"} if {"exact", "large"} <= kinds else set())
+
+
+class TestBatchedCellSearch:
+    """Every row of one `_score_cells` batch against `avgd_reference`, on
+    states part-way through rounding."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(rounding.EXACT_SUBSET_LIMIT + 1, 32), st.integers(2, 6),
+           st.integers(1, 3), st.sampled_from([0.1, 0.3, 0.6]),
+           st.sampled_from(["none", "tight", "loose"]), st.sampled_from([0.0, 0.25, 1.0]),
+           st.integers(0, 2**32 - 1), st.booleans())
+    def test_matches_reference(self, n, m, k, p, cap, r, seed, one_row):
+        k, tight = min(k, m), -(-n // m)
+        rng = np.random.default_rng(seed)
+        cap = {"none": None, "tight": tight, "loose": 2 * tight}[cap]
+        state = mid_run_state(rng, n, m, k, p, cap, int(rng.integers(0, 2 * m * k)))
+        cells = rng.permutation(m * k)[:1 if one_row else None]  # any cell order
+        assert_cells_match_reference(state, r, *np.divmod(cells, k))
+
+    def test_seeded_states_cover_every_kind_of_row(self):
+        rng = np.random.default_rng(15)
+        kinds = set()
+        for i in range(90):
+            n, m = int(rng.integers(rounding.EXACT_SUBSET_LIMIT + 1, 33)), int(rng.integers(2, 7))
+            k, tight = int(rng.integers(1, min(m, 3) + 1)), -(-n // m)
+            state = mid_run_state(rng, n, m, k, [0.1, 0.3, 0.6][i % 3],
+                                  [None, tight, 2 * tight][i // 3 % 3], int(rng.integers(0, m * k)))
+            kinds |= assert_cells_match_reference(state, [0.0, 0.25, 1.0][i // 9 % 3],
+                                                  *np.divmod(np.arange(m * k), k))
+        assert kinds == {"exact", "large", "mixed", "capacity 1", "moved"}
 
 
 class TestSizeCappedRounding:
@@ -696,8 +862,9 @@ class TestSizeCappedRounding:
         assert state.xbar()[0, 0] == 0.0
         loss, q_es = np.zeros((3, 1)), np.zeros((0, 1))
         nbrs = neighbour_index(np.zeros(0, np.int64), np.zeros(0, np.int64), 3)  # no friendships
-        assert rounding._score_cell(state, 0, 0, 0.25, loss, q_es, nbrs) is None
-        assert rounding._score_cell(state, 1, 0, 0.25, loss, q_es, nbrs) is not None
+        closed, open_ = rounding._score_cells(state, np.array([0, 1]), np.array([0, 0]), 0.25,
+                                              loss, q_es, nbrs)
+        assert closed is None and open_ is not None
 
     @pytest.mark.xfail(raises=DomainError, strict=True,
                        reason="known defect: a tight cap can leave a starved cell "

@@ -305,12 +305,15 @@ class FractionalSolution:
 
     Entries below solver noise (1e-9) are clamped to exact zero so that
     threshold comparisons and starvation detection treat them as absent.
+    Non-finite entries are rejected: rounding compares every factor with 0.
     """
 
     x: np.ndarray  # (n, m, k)
 
     def __post_init__(self):
         arr = np.array(self.x, dtype=float, order="C")  # never the caller's array
+        if not np.isfinite(arr).all():
+            raise DomainError("utility factors must be finite")
         arr[np.abs(arr) < 1e-9] = 0.0
         arr.setflags(write=False)
         object.__setattr__(self, "x", arr)

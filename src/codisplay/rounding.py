@@ -56,6 +56,11 @@ class RoundingState:
     most `limit` users: the size cap, or n, which never binds.  The factors
     are copied, so zeroing those of a full subgroup leaves the caller's intact.
     Only `assign_users` changes the state, so `xbar` is kept until it does.
+
+    `live[u, s]` counts the items u does not hold whose factor x[u, c, s] is
+    positive; an empty cell with none left is starved.  `zeroings` counts the
+    `assign_users` calls that changed a factor, so whoever derives terms from
+    `x` knows when to derive them again.
     """
 
     def __init__(self, inst: Instance, frac: FractionalSolution, cap: Optional[int] = None):
@@ -69,8 +74,10 @@ class RoundingState:
         self.assign = np.full((inst.n, inst.k), -1, dtype=np.int64)
         self.held = np.zeros((inst.n, inst.m), dtype=bool)
         self.counts = np.zeros((inst.m, inst.k), dtype=np.int64)
+        self.live = np.einsum("ucs->us", (self.x > 0.0).astype(np.int64))  # (n, k); faster than sum
         self.limit = int(limit)
         self.unfilled = inst.n * inst.k
+        self.zeroings = 0
         self._xbar: Optional[np.ndarray] = None
 
     def eligible(self, u: int, c: int, s: int) -> bool:
@@ -97,15 +104,27 @@ class RoundingState:
         """Show item c at slot s to `users`; once the subgroup is full, zero
         the factors of its remaining eligible users so nothing selects it."""
         self._xbar = None
-        for u in users:
-            if not self.eligible(u, c, s):
-                raise DomainError(f"user {u} is not eligible for item {c} at slot {s}")
-            self.assign[u, s] = c
-            self.held[u, c] = True
-            self.counts[c, s] += 1
-            self.unfilled -= 1
+        done = []
+        try:
+            for u in users:
+                if not self.eligible(u, c, s):
+                    raise DomainError(f"user {u} is not eligible for item {c} at slot {s}")
+                self.assign[u, s] = c
+                self.held[u, c] = True
+                self.counts[c, s] += 1
+                self.unfilled -= 1
+                done.append(u)
+        finally:
+            if done:  # item c no longer counts towards any slot of these users
+                rows = done[0] if len(done) == 1 else np.array(done)  # basic indexing is cheaper
+                self.live[rows] -= self.x[rows, c] > 0.0
         if self.room(c, s) <= 0:
-            self.x[self.eligible_users(c, s), c, s] = 0.0
+            rest = self.eligible_users(c, s)
+            factors = self.x[rest, c, s]
+            if factors.any():
+                self.live[rest, s] -= factors > 0.0
+                self.x[rest, c, s] = 0.0
+                self.zeroings += 1
 
     def to_configuration(self) -> Configuration:
         if self.unfilled:
@@ -142,27 +161,30 @@ def _fallback_fill(state: RoundingState) -> int:
     """Assign starved cells (no positive factor left) by optimistic utility.
 
     Only reachable after size-cap zeroing, or with degenerate fractional
-    input.  Returns the number of cells assigned.
+    input.  The cells are visited in (user, slot) order from the first
+    starved one, reading starvation from `state.live`; each takes the
+    item of highest optimistic utility (ties to the lower index) that the
+    user does not hold and whose subgroup has room.  A fill may starve
+    further cells: those after the current one are filled in this call,
+    those before it in the next.  Returns the number of cells assigned.
     """
-    inst = state.inst
-    open_max = np.where(state.held[:, :, None], 0.0, state.x).max(axis=1)  # (n, k)
-    if not ((state.assign < 0) & ~(open_max > 0.0)).any():
-        return 0  # nothing starved, so the loop below would assign nothing
-    ub = optimistic_utility(inst)
+    starved = np.flatnonzero(((state.assign < 0) & (state.live == 0)).ravel())
+    if not starved.size:
+        return 0
+    k = state.inst.k
+    ranked = np.argsort(-optimistic_utility(state.inst), axis=1, kind="stable")  # (n, m)
     unfilled = state.unfilled
-    for u in range(inst.n):
-        for s in range(inst.k):
-            if state.assign[u, s] >= 0:
-                continue
-            feasible = ~state.held[u]
-            if state.x[u, feasible, s].max(initial=0.0) > 0.0:
-                continue
-            cand = np.flatnonzero(feasible)
-            cand = cand[state.counts[cand, s] < state.limit]
-            if cand.size == 0:
-                raise DomainError(f"size cap leaves no feasible item for user {u} at slot {s}")
-            best = cand[np.lexsort((cand, -ub[u, cand]))[0]]
-            state.assign_users([u], int(best), s)
+    for cell in range(int(starved[0]), state.assign.size):
+        u, s = divmod(cell, k)
+        if state.assign[u, s] >= 0 or state.live[u, s] > 0:
+            continue
+        held, counts = state.held[u], state.counts[:, s]
+        for c in ranked[u]:  # the first item u may still take at slot s
+            if not held[c] and counts[c] < state.limit:
+                break
+        else:
+            raise DomainError(f"size cap leaves no feasible item for user {u} at slot {s}")
+        state.assign_users([u], int(c), s)
     return unfilled - state.unfilled
 
 
@@ -416,10 +438,13 @@ def avgd(inst: Instance, frac: FractionalSolution, r: float = 0.25,
     bonuses, room and factor order, hence its exact (score, users).  So only the m + k - 1
     cells of row c and column s are rescored, as one `_score_cells` batch,
     and a fallback assignment, which may touch any cell, rescores all of them.
-    Likewise a step recomputes only the pair values of (c, s) and the loss of
-    slot s; the pair sums still reduce the whole (E, m, k) array, since
-    reducing one slot's slice would make numpy sum pairwise and change the
-    last bits.
+    Likewise a step recomputes only the loss of slot s.  The relaxation
+    terms (the pair values, lpref and the pair sums q_es) depend on the
+    factors alone, so they are derived again only after a full subgroup
+    zeroed a factor (`state.zeroings` moved): never without a cap.  Then a
+    step recomputes the pair values of (c, s), and lpref and q_es are taken
+    over the whole arrays, since reducing one slot's slice would make numpy
+    sum pairwise and change the last bits.
     """
     if not (np.isfinite(r) and r >= 0):
         raise DomainError(f"balancing ratio must be finite and nonnegative, got {r}")
@@ -432,6 +457,7 @@ def avgd(inst: Instance, frac: FractionalSolution, r: float = 0.25,
     cells: list[list] = [[None] * k for _ in range(m)]  # _score_cells per (c, s)
     fresh = np.zeros((m, k), dtype=bool)  # cells[c][s] is current
     loss = np.zeros((inst.n, k))
+    seen = -1  # state.zeroings when lpref and q_es were last derived from x
     while state.unfilled:
         if _fallback_fill(state):
             fresh[:] = False
@@ -439,11 +465,14 @@ def avgd(inst: Instance, frac: FractionalSolution, r: float = 0.25,
             break
         xt = state.x
         empty = state.assign < 0  # (n, k)
-        if not fresh.any():  # any factor may have changed
-            pair = w[:, :, None] * np.minimum(xt[eu], xt[ev])  # (E, m, k)
+        if not fresh.any():  # every cell is stale, as after a fallback
             slots = slice(None)
-        lpref = np.einsum("uc,ucs->us", pref, xt)  # value of each open cell
-        q_es = pair.sum(axis=1)  # (E, k)
+            if seen != state.zeroings:  # factors anywhere may have changed
+                pair = w[:, :, None] * np.minimum(xt[eu], xt[ev])  # (E, m, k)
+        if seen != state.zeroings:  # a full subgroup zeroed factors
+            lpref = np.einsum("uc,ucs->us", pref, xt)  # value of each open cell
+            q_es = pair.sum(axis=1)  # (E, k)
+            seen = state.zeroings
         both_open = empty[eu] & empty[ev]
         # linear loss of closing a cell: its own value plus pair terms shared
         # with still-open same-slot partners, added edge by edge
@@ -485,9 +514,9 @@ def avgd(inst: Instance, frac: FractionalSolution, r: float = 0.25,
         state.assign_users([int(u) for u in users], int(c), int(s))
         fresh[c, :] = False
         fresh[:, s] = False
-        # only the factors x[:, c, s] and the open cells of slot s changed
-        pair[:, c, s] = w[:, c] * np.minimum(xt[eu, c, s], xt[ev, c, s])
-        slots = slice(s, s + 1)
+        slots = slice(s, s + 1)  # the open cells of slot s changed
+        if seen != state.zeroings:  # and so did the factors x[:, c, s]
+            pair[:, c, s] = w[:, c] * np.minimum(xt[eu, c, s], xt[ev, c, s])
     return state.to_configuration()
 
 

@@ -1,5 +1,6 @@
 """Subgroup-formation rounding tests: CSF, replay, both solvers, size caps."""
 
+import copy
 import itertools
 import math
 
@@ -15,6 +16,7 @@ from codisplay.core import DomainError, running_sum, seeded_rng
 from codisplay.rounding import FocalParams, RoundingState
 
 import avgd_reference
+import fallback_reference
 from conftest import (
     DETERMINISTIC_TABLE,
     EXPECTED_UNIT,
@@ -482,7 +484,8 @@ def _avgd_full_rescore(inst, frac, r, trace, cap=None):
                 if cell is not None and (best is None or cell[0] > best[0] + rounding._TIE_EPS):
                     best = (cell[0], c, s, cell[1])
         if best is None:
-            rounding._fallback_fill(state)
+            if not rounding._fallback_fill(state):
+                raise DomainError("avgd found no cell to assign")
             continue
         _, c, s, users = best
         inner = inst.edges_within(users)
@@ -577,6 +580,38 @@ class TestIncrementalAvgd:
         state = RoundingState(inst, cd.FractionalSolution(np.zeros((inst.n, inst.m, inst.k))))
         assert rounding._fallback_fill(state) == inst.n * inst.k
         assert state.unfilled == 0 and calls == [1]
+
+    @pytest.mark.parametrize("cap", [None, 4, 8])
+    def test_relaxation_terms_rebuilt_only_after_zeroing(self, monkeypatch, cap):
+        # lpref, q_es and pair depend on the factors alone, so avgd derives
+        # them again only after a full subgroup zeroed a factor
+        inst = cd.gen_random(16, 5, 3, edge_prob=0.4, seed=4300)
+        events = []
+        real_einsum, real_assign = np.einsum, RoundingState.assign_users
+
+        def einsum(subscripts, *operands, **kw):
+            if subscripts == "uc,ucs->us":  # lpref
+                events.append("build")
+            return real_einsum(subscripts, *operands, **kw)
+
+        def assign_users(state, users, c, s):
+            before = state.zeroings
+            real_assign(state, users, c, s)
+            if state.zeroings != before:
+                events.append("zero")
+
+        monkeypatch.setattr(np, "einsum", einsum)
+        monkeypatch.setattr(RoundingState, "assign_users", assign_users)
+        trace = []
+        cd.avgd(inst, _uniform_frac(inst), r=0.25, trace=trace, cap=cap)
+        builds = [i for i, e in enumerate(events) if e == "build"]
+        assert builds[0] == 0
+        # every build after the first follows a zeroing since the last one
+        assert all("zero" in events[a:b] for a, b in zip(builds, builds[1:]))
+        if cap is None:
+            assert events == ["build"]
+        else:
+            assert 1 < len(builds) < len(trace)
 
     def test_no_open_cell_raises(self, example, example_frac):
         # a cap of 0 is rejected before any cell is scored
@@ -803,6 +838,128 @@ class TestBatchedCellSearch:
             kinds |= assert_cells_match_reference(state, [0.0, 0.25, 1.0][i // 9 % 3],
                                                   *np.divmod(np.arange(m * k), k))
         assert kinds == {"exact", "large", "mixed", "capacity 1", "moved"}
+
+
+def fresh_live(state):
+    """`state.live` recounted from the factors and the items held."""
+    return ((state.x > 0.0) & ~state.held[:, :, None]).sum(axis=1)
+
+
+def fill_outcome(fill, state):
+    """What a starvation fill did to `state`: its return value or error, and
+    the assignment, counts and factors after it."""
+    try:
+        ret = fill(state)
+    except DomainError as exc:
+        ret = f"error: {exc}"
+    return ret, state.assign.tolist(), state.counts.tolist(), state.x.tolist()
+
+
+def clone(state):
+    return copy.deepcopy(state, {id(state.inst): state.inst})
+
+
+def assert_run_matches_reference(rng, n, m, k, p, cap):
+    """A random run from a mid-run state of random csf steps, subgroup-filling
+    assignments and starvation fills, each fill against the reference on a
+    copy of the state, with `live` recounted after every change.  Returns
+    the kinds of fill seen."""
+    k, tight = min(k, m), -(-n // m)
+    cap = {"none": None, "tight": tight, "loose": 2 * tight}[cap]
+    state = mid_run_state(rng, n, m, k, p, cap, int(rng.integers(0, 2 * m * k)))
+    assert np.array_equal(state.live, fresh_live(state))
+    kinds = set()
+    for _ in range(4 * n * k):
+        if not state.unfilled:
+            break
+        c, s = int(rng.integers(m)), int(rng.integers(k))
+        kind = rng.random()
+        if kind < 0.4:
+            rounding.csf_step(state, FocalParams(c, s, float(rng.random())))
+        elif kind < 0.7:  # fill the subgroup, zeroing its other eligible users
+            elig = state.eligible_users(c, s)
+            take = min(elig.size - 1, state.room(c, s))
+            if take > 0:
+                state.assign_users(rng.choice(elig, take, replace=False).tolist(), c, s)
+        else:
+            want = fill_outcome(fallback_reference.fallback_fill, clone(state))
+            zeroings = state.zeroings
+            got = fill_outcome(rounding._fallback_fill, state)
+            assert got == want
+            if isinstance(got[0], str):
+                kinds.add("error")
+                break
+            kinds.add("fill" if got[0] else "none")
+            kinds |= {"zeroing fill"} if state.zeroings != zeroings else set()
+            if got[0] and ((state.assign < 0) & (state.live == 0)).any():
+                kinds.add("starved behind")  # a fill starved a cell before its own
+        assert np.array_equal(state.live, fresh_live(state))
+    return kinds
+
+
+class TestStarvationCounts:
+    """`RoundingState.live` against a recount after every kind of change, and
+    `_fallback_fill`, which reads starvation from it, against the per-cell
+    fill of `fallback_reference`."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 24), st.integers(2, 6), st.integers(1, 3),
+           st.sampled_from([0.1, 0.3, 0.6]), st.sampled_from(["none", "tight", "loose"]),
+           st.integers(0, 2**32 - 1))
+    def test_fallback_and_live_match_reference(self, n, m, k, p, cap, seed):
+        assert_run_matches_reference(np.random.default_rng(seed), n, m, k, p, cap)
+
+    def test_seeded_runs_cover_every_kind_of_fill(self):
+        rng = np.random.default_rng(17)
+        kinds = set()
+        for i in range(300):
+            n, m, k = int(rng.integers(2, 25)), int(rng.integers(2, 7)), int(rng.integers(1, 4))
+            kinds |= assert_run_matches_reference(rng, n, m, k, [0.1, 0.3, 0.6][i % 3],
+                                                  ["none", "tight", "loose"][i // 3 % 3])
+        assert kinds == {"none", "fill", "error", "zeroing fill", "starved behind"}
+
+    def test_fill_starving_an_earlier_cell_leaves_it_for_the_next_call(self):
+        # user 1 is starved; its fill takes item 0, which fills the (0, 0)
+        # subgroup and zeroes user 0's only positive factor, behind the cursor
+        inst = cd.Instance(n=2, m=2, k=1, pref=np.array([[1.0, 0.5], [1.0, 0.5]]),
+                           edges=(), lam=0.5)
+        x = np.array([[[1.0], [0.0]], [[0.0], [0.0]]])
+        state = RoundingState(inst, cd.FractionalSolution(x), cap=1)
+        ref = clone(state)
+        first = fill_outcome(rounding._fallback_fill, state)
+        assert first == fill_outcome(fallback_reference.fallback_fill, ref)
+        assert first[:2] == (1, [[-1], [0]]) and state.live.tolist() == [[0], [0]]
+        assert np.array_equal(state.live, fresh_live(state))
+        second = fill_outcome(rounding._fallback_fill, state)
+        assert second == fill_outcome(fallback_reference.fallback_fill, ref)
+        assert second[:2] == (1, [[1], [0]])
+
+    def test_rejected_assignment_keeps_counts(self, example, example_frac):
+        state = RoundingState(example, example_frac)
+        with pytest.raises(DomainError, match="user 1 is not eligible"):
+            state.assign_users([1, 1], 2, 0)  # the second entry repeats a user
+        assert state.assign[1, 0] == 2
+        assert np.array_equal(state.live, fresh_live(state))
+
+
+class TestNonFiniteFactors:
+    @pytest.mark.parametrize("bad", ["nan row", "inf"])
+    @pytest.mark.parametrize("solve", [
+        lambda inst, frac: cd.avg(inst, frac, rng_seed=0),
+        lambda inst, frac: cd.avg(inst, frac, rng_seed=0, sampler="advanced"),
+        lambda inst, frac: cd.avgd(inst, frac),
+        lambda inst, frac: cd.avg_st(inst, frac, rng_seed=0),
+    ], ids=["avg", "avg-advanced", "avgd", "avg_st"])
+    def test_rejected_before_rounding(self, solve, bad):
+        # uniform avg on a NaN row used never to return: no probe fired
+        inst = cd.gen_random(10, 5, 2, edge_prob=0.3, seed=0, d_tel=0.5, m_cap=4)
+        x = np.full((inst.n, inst.m, inst.k), 1.0 / inst.m)
+        if bad == "inf":
+            x[3, 1, 0] = np.inf
+        else:
+            x[3] = np.nan
+        with pytest.raises(DomainError, match="utility factors must be finite"):
+            solve(inst, cd.FractionalSolution(x))
 
 
 class TestSizeCappedRounding:

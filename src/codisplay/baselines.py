@@ -4,6 +4,7 @@ independent rounding, and size-driven pre-partitioning."""
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
@@ -180,21 +181,12 @@ def st_prepartition(inst: Instance) -> list[tuple[Instance, np.ndarray]]:
     """
     if inst.st is None:
         raise DomainError("instance has no teleportation parameters")
-    g = math.ceil(inst.n / inst.st.M)
-    if g > inst.m:
-        raise DomainError(f"ceil(n/M) = {g} exceeds the number of items")
-    parts = _friendship_partition(inst, g)
+    parts = _friendship_partition(inst, math.ceil(inst.n / inst.st.M))  # <= m by Instance
     out = []
     for part in parts:
         local = {u: i for i, u in enumerate(part)}
         edges = [Edge(local[e.u], local[e.v], e.tau_uv, e.tau_vu)
                  for e, inside in zip(inst.edges, inst.edges_within(part)) if inside]
-        sub = Instance(
-            n=len(part), m=inst.m, k=inst.k,
-            pref=inst.pref[part],
-            edges=tuple(edges),
-            lam=inst.lam,
-            st=inst.st,
-        )
+        sub = replace(inst, n=len(part), pref=inst.pref[part], edges=tuple(edges))
         out.append((sub, np.asarray(part, dtype=np.int64)))
     return out

@@ -50,23 +50,20 @@ def _work_instance(inst: Instance) -> Instance:
     return inst if inst.lam == 0.5 else core.scale_preferences(inst)
 
 
-def _solve_st(work: Instance) -> FractionalSolution:
-    """Per-slot factors of the teleportation relaxation."""
-    res = lp.solve_lp(lp.build_st_lp(work))
-    if res.status != "optimal":
-        raise DomainError(f"relaxation status: {res.status}")
-    return lp.frac_from_full_result(res, work)
+def _relaxation(inst: Instance, st: bool = False) -> tuple[FractionalSolution, float]:
+    """The compact relaxation, solved and expanded; for the ``-st`` algorithms
+    under the instance's size cap, which makes it the teleportation bound."""
+    work = _work_instance(inst)
+    if not st:
+        return lp.solve_fractional(work)
+    if work.st is None:
+        raise DomainError("instance has no teleportation parameters")
+    return lp.solve_fractional(work, work.st.M)
 
 
 def _fractional_for(inst: Instance, path, st: bool) -> FractionalSolution:
     """The factors in the file at ``path`` or, without one, the relaxation's."""
-    if path:
-        return _load_frac(path)
-    work = _work_instance(inst)
-    if st:
-        return _solve_st(work)
-    frac, _ = lp.solve_fractional(work)
-    return frac
+    return _load_frac(path) if path else _relaxation(inst, st)[0]
 
 
 ALGOS = ("avg", "avgd", "per", "group", "sub-friend", "sub-pref", "indep", "oracle",
@@ -302,9 +299,8 @@ def cmd_compare(args) -> int:
     frac = st_frac = None
     bound_cols = ["", ""]
     if inst.lam > 0 or LP_ALGOS.intersection(algos):
-        work = _work_instance(inst)  # at lambda = 0 an LP algorithm fails as in `solve`
-        frac, lp_bound = lp.solve_fractional(work)
-        st_frac = _solve_st(work) if any(a.endswith("-st") for a in algos) else None
+        frac, lp_bound = _relaxation(inst)  # at lambda = 0 an LP algorithm fails as in `solve`
+        st_frac = _relaxation(inst, st=True)[0] if any(a.endswith("-st") for a in algos) else None
         bound_cols = [f"{lp_bound:.9g}", f"{inst.lam * lp_bound:.9g}"]
     header = (["algo", "seed", "objective_canonical", "objective_unit_sum", "runtime_ms"]
               + _COMPARE_METRIC_FIELDS

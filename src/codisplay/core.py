@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -327,14 +327,7 @@ def scale_preferences(inst: Instance) -> Instance:
     """
     if inst.lam == 0.0:
         raise DomainError("lambda = 0 is preference-only; solve it exactly with baselines.per_topk")
-    factor = (1.0 - inst.lam) / inst.lam
-    return Instance(
-        n=inst.n, m=inst.m, k=inst.k,
-        pref=inst.pref * factor,
-        edges=inst.edges,
-        lam=0.5,
-        st=inst.st,
-    )
+    return replace(inst, pref=inst.pref * ((1.0 - inst.lam) / inst.lam), lam=0.5)
 
 
 def st_objective(inst: Instance, config: Configuration, mode: str = "canonical") -> float:

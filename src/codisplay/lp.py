@@ -1,10 +1,11 @@
 """Linear-program models and the relaxation solver.
 
-Two relaxations of the assignment program are provided: the full per-slot
-model and a compact slot-free model whose optimum provably coincides with the
-full one.  Both use the unit-sum objective (scaled preference on the
-item-per-user variables, combined directed social weight on the edge
-variables), so instances with lambda != 1/2 must be passed through
+Every solver path solves the compact slot-free relaxation, whose optimum
+provably equals the full per-slot model's; one size-cap row per item makes it
+the teleportation bound.  The per-slot models serve ``export`` and the tests.
+All use the unit-sum objective (scaled preference on the item-per-user
+variables, combined directed social weight on the edge variables), so
+instances with lambda != 1/2 must be passed through
 ``core.scale_preferences`` first.
 
 Builders register whole blocks of variables (``LpModel.add_vars``) and address
@@ -266,13 +267,21 @@ def build_full_lp(inst: Instance) -> LpModel:
     return _full_lp(inst, inst.w)[0]
 
 
-def build_simplified_lp(inst: Instance) -> LpModel:
-    """Compact slot-free relaxation; optimum equals the full relaxation."""
+def build_simplified_lp(inst: Instance, cap: Optional[int] = None) -> LpModel:
+    """Compact slot-free relaxation; optimum equals the full relaxation.
+
+    With a ``cap``, the rows ``sum_u xu[u,c] <= k*cap`` (the size cuts summed
+    over slots) give it ``build_st_lp``'s optimum for every d_tel: a per-slot
+    point sums over slots to a compact one, and a compact optimum lifts back
+    as ``x = xu/k``, ``y = ye/k``, ``z = ye`` with the same objective.
+    """
     mdl = LpModel()
     xu = mdl.add_vars("xu", (inst.n, inst.m), obj=inst.pref, upper=1.0)
     ye = mdl.add_vars("ye", (inst.num_edges, inst.m), obj=inst.w)
     mdl.add_rows(xu, 1.0, "=", float(inst.k))
     _edge_rows(mdl, inst, ye, xu)
+    if cap is not None:
+        mdl.add_rows(xu.T, 1.0, "<=", float(inst.k * cap))
     return mdl
 
 
@@ -282,7 +291,9 @@ def build_st_lp(inst: Instance) -> LpModel:
     The social coefficient is split between aligned co-display (1 - d_tel on
     the per-slot edge variables) and any-slot co-display (d_tel on the new
     edge variables).  The per-(item, slot) size cuts are a deliberate
-    strengthening: they do not cut any feasible integer point.
+    strengthening: they do not cut any feasible integer point.  The solver
+    paths solve ``build_simplified_lp(inst, inst.st.M)``, which has the same
+    optimum; this per-slot model serves ``export``.
     """
     if inst.st is None:
         raise DomainError("instance has no teleportation parameters")
@@ -333,6 +344,8 @@ class FractionalSolution:
 def _leading_block(result: LpResult, shape: tuple[int, ...], last_name: str) -> np.ndarray:
     """The first variables of an optimum, reshaped: every builder registers its
     ``xu`` (compact) or ``x`` (per-slot) block first, in row-major order."""
+    if result.status != "optimal":
+        raise DomainError(f"relaxation not solved to optimality: {result.status}")
     size = math.prod(shape)
     if result.names[size - 1 : size] != (last_name,):
         raise DomainError(f"result does not begin with a block ending in {last_name}")
@@ -341,8 +354,6 @@ def _leading_block(result: LpResult, shape: tuple[int, ...], last_name: str) -> 
 
 def expand_solution(result: LpResult, inst: Instance) -> FractionalSolution:
     """Spread a compact optimum uniformly over slots: x[u][c][s] = xu/k."""
-    if result.status != "optimal":
-        raise DomainError(f"cannot expand a result with status {result.status!r}")
     xu = _leading_block(result, (inst.n, inst.m), f"xu_{inst.n - 1}_{inst.m - 1}")
     x = np.repeat(xu[:, :, None] / inst.k, inst.k, axis=2)
     frac = FractionalSolution(np.clip(x, 0.0, 1.0))
@@ -352,22 +363,19 @@ def expand_solution(result: LpResult, inst: Instance) -> FractionalSolution:
 
 def frac_from_full_result(result: LpResult, inst: Instance) -> FractionalSolution:
     """Collect the per-slot variables of a full or teleportation model optimum."""
-    if result.status != "optimal":
-        raise DomainError(f"result status is {result.status!r}")
     x = _leading_block(result, (inst.n, inst.m, inst.k),
                        f"x_{inst.n - 1}_{inst.m - 1}_{inst.k - 1}")
     return FractionalSolution(np.clip(x, 0.0, 1.0))
 
 
-def solve_fractional(inst: Instance) -> tuple[FractionalSolution, float]:
-    """Convenience path: compact relaxation, solved and expanded.
+def solve_fractional(inst: Instance,
+                     cap: Optional[int] = None) -> tuple[FractionalSolution, float]:
+    """Compact relaxation, under the size ``cap`` if given, solved and expanded.
 
     Returns the per-slot factors and the relaxation optimum (unit-sum).  The
     instance must already be in the lambda = 1/2 convention.
     """
-    res = solve_lp(build_simplified_lp(inst))
-    if res.status != "optimal":
-        raise DomainError(f"relaxation not solved to optimality: {res.status}")
+    res = solve_lp(build_simplified_lp(inst, cap))
     return expand_solution(res, inst), res.objective
 
 

@@ -259,6 +259,9 @@ def sample_focal(state: RoundingState, rng: np.random.Generator,
 def avg_replay(inst: Instance, frac: FractionalSolution,
                sequence: Sequence[FocalParams]) -> Configuration:
     """Deterministically apply a recorded focal-parameter sequence."""
+    for f in sequence:
+        if not (0 <= f.c < inst.m and 0 <= f.s < inst.k):
+            raise DomainError(f"focal (item, slot) ({f.c}, {f.s}) outside the instance")
     state = RoundingState(inst, frac)
     for focal in sequence:
         csf_step(state, focal)

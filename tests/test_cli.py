@@ -101,9 +101,18 @@ class TestSolve:
         data = core.load_json(sol)
         assert "feasible" in data and "violations" in data
 
-    def test_missing_algo_input_errors(self, fixture_files, capsys):
-        code = run(["solve", "--algo", "avg-st", "--in", fixture_files["inst"]])
-        assert code != 0  # fixture has no teleportation parameters
+    def test_missing_algo_input_errors(self, fixture_files, capsys, monkeypatch):
+        solved = []
+        monkeypatch.setattr(cd.lp, "solve_lp", lambda model, *a, **kw: solved.append(model))
+        out = str(fixture_files["dir"] / "f.json")
+        for argv in (["solve", "--algo", "avg-st"], ["solve", "--algo", "avgd-st"],
+                     ["frac", "--model", "st", "--out", out]):
+            # the fixture has no teleportation parameters
+            code = run(argv + ["--in", fixture_files["inst"]])
+            err = capsys.readouterr().err
+            assert code == 1, argv
+            assert err == "error: instance has no teleportation parameters\n", argv
+        assert solved == []
 
     def test_runtime_excludes_the_relaxation(self, fixture_files, monkeypatch):
         real = cd.lp.solve_fractional
@@ -123,6 +132,21 @@ class TestSolve:
 
 
 class TestReplay:
+    @pytest.mark.parametrize("c,s", [(99, 0), (0, 7), (-1, 0), (0, -1)])
+    def test_focal_outside_the_instance(self, fixture_files, tmp_path, capsys, c, s):
+        # beyond the instance used to end in an IndexError traceback, and c = -1
+        # (the empty-cell marker) in exit 0 with -1 written as an item
+        seq = tmp_path / "seq.json"
+        core.dump_json([{"c": c, "s": s, "alpha": 0.5}] + core.load_json(fixture_files["seq"]),
+                       seq)
+        out = tmp_path / "x.json"
+        code = run(["replay", "--in", fixture_files["inst"], "--frac", fixture_files["frac"],
+                    "--seq", str(seq), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert f"({c}, {s}) outside" in err and not out.exists()
+
     def test_paper_sequence(self, fixture_files, capsys):
         sol = fixture_files["dir"] / "replay.json"
         assert run(["replay", "--in", fixture_files["inst"],
@@ -315,14 +339,14 @@ class TestCompare:
         tele = tmp_path / "tele.json"
         core.dump_json(core.instance_to_dict(
             cd.gen_random(4, 5, 2, edge_prob=0.7, seed=3, d_tel=0.5, m_cap=2)), tele)
-        built = {}  # id of each model built -> its builder's kind
+        built = {}  # id of each model built -> its builder's kind and arguments
 
         def record(kind):
             real_build = getattr(cd.lp, f"build_{kind}_lp")
 
-            def build(inst):
-                model = real_build(inst)
-                built[id(model)] = kind
+            def build(inst, *args, **kwargs):
+                model = real_build(inst, *args, **kwargs)
+                built[id(model)] = (kind, *args, *kwargs.values())
                 return model
             monkeypatch.setattr(cd.lp, f"build_{kind}_lp", build)
 
@@ -335,11 +359,13 @@ class TestCompare:
                             or real(model, *a, **kw))
         assert run(["compare", "--in", fixture_files["inst"], "--algos", "avg,avgd,indep,per",
                     "--seeds", "0..2", "--out", str(tmp_path / "p.csv")]) == 0
-        assert calls == ["simplified"]
+        assert calls == [("simplified", None)]  # no size cap
         calls.clear()
         assert run(["compare", "--in", str(tele), "--algos", "avg-st,avgd-st,avg,per",
                     "--seeds", "0,1", "--out", str(tmp_path / "t.csv")]) == 0
-        assert calls == ["simplified", "st"]
+        # the plain relaxation, then the same compact model under the size cap M = 2
+        assert calls == [("simplified", None), ("simplified", 2)]
+        assert all(kind == "simplified" for kind, *_ in built.values())  # no build_st_lp
 
 
 class TestBadInput:
@@ -641,6 +667,16 @@ class TestFracCommand:
         assert run(["frac", "--in", fixture_files["inst"], "--out", str(out)]) == 0
         frac = cd.FractionalSolution(x=np.asarray(core.load_json(out)["x"]))
         frac.check()
+
+    def test_st_model_writes_capped_compact_factors(self, tmp_path):
+        inst = cd.gen_random(8, 4, 2, edge_prob=0.6, seed=5, d_tel=0.3, m_cap=2)
+        path, out = tmp_path / "tele.json", tmp_path / "frac.json"
+        core.dump_json(core.instance_to_dict(inst), path)
+        assert run(["frac", "--model", "st", "--in", str(path), "--out", str(out)]) == 0
+        x = np.asarray(core.load_json(out)["x"])
+        assert np.array_equal(x, cd.solve_fractional(inst, 2)[0].x)
+        assert (x == x[:, :, :1]).all()  # the same factors at every slot
+        assert (x.sum(axis=0) <= 2 + 1e-9).all()
 
 
 def _subprocess_env() -> dict:

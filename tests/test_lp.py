@@ -1,6 +1,7 @@
 """Relaxation builders, simplex, expansion, and export tests."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -310,6 +311,71 @@ class TestStModel:
         res = lpm.solve_lp(lpm.build_st_lp(inst))
         # oracle value is canonical; the relaxation objective is unit-sum
         assert inst.lam * res.objective >= opt - 1e-7
+
+
+# (n, m, k, edge probability, seed) of the teleportation ladder; each is solved
+# under a tight cap ceil(n/m) and a plain one (n, which never binds)
+ST_LADDER = [(4, 5, 2, 0.7, 0), (6, 4, 2, 0.6, 1), (8, 6, 2, 0.5, 2), (10, 5, 3, 0.4, 3),
+             (12, 8, 3, 0.3, 4), (16, 8, 3, 0.25, 5)]
+D_TELS = (0.0, 0.3, 0.9)
+
+
+def st_ladder():
+    """(plain instance, a cap, the instance with that cap at each d_tel) per rung and cap."""
+    for n, m, k, p, seed in ST_LADDER:
+        base = cd.gen_random(n, m, k, edge_prob=p, seed=seed)
+        for cap in (-(-n // m), n):
+            yield base, cap, [replace(base, st=cd.StParams(d, cap)) for d in D_TELS]
+
+
+class TestCompactTeleportBound:
+    """The teleportation relaxation ``build_st_lp`` has the optimum of the compact
+    model plus one cap row ``sum_u xu[u,c] <= k*M`` per item, whatever d_tel is."""
+
+    def test_capped_compact_optimum_equals_st_optimum(self):
+        for base, cap, teles in st_ladder():
+            compact = lpm.solve_lp(lpm.build_simplified_lp(base, cap)).objective
+            for tele in teles:
+                assert lpm.solve_fractional(tele, cap)[1] == compact  # d_tel is not read
+                st = lpm.solve_lp(lpm.build_st_lp(tele)).objective
+                assert st == pytest.approx(compact, rel=1e-9, abs=0.0), (base.n, cap, tele.st)
+
+    def test_tight_cap_binds(self):
+        lowered = [lpm.solve_fractional(base, cap)[1] < lpm.solve_fractional(base)[1] - 1e-6
+                   for base, cap, _ in st_ladder() if cap < base.n]
+        assert all(lowered)  # so the ladder would see a missing cap row
+
+    def test_lift_is_feasible_for_st_model(self):
+        for base, cap, teles in st_ladder():
+            res = lpm.solve_lp(lpm.build_simplified_lp(base, cap))
+            n, m, k, num_edges = base.n, base.m, base.k, base.num_edges
+            xu = res.x[: n * m].reshape(n, m)
+            ye = res.x[n * m:].reshape(num_edges, m)
+            lift = np.concatenate([np.repeat(xu[:, :, None] / k, k, axis=2).ravel(), xu.ravel(),
+                                   np.repeat(ye[:, :, None] / k, k, axis=2).ravel(), ye.ravel(),
+                                   ye.ravel()])
+            for tele in teles:
+                model = lpm.build_st_lp(tele)
+                assert lift.size == model.num_vars
+                lpm._check_residuals(lpm._flat_rows(model), lift)
+                value = float(np.asarray(model.obj) @ lift)
+                assert value == pytest.approx(res.objective, rel=1e-9, abs=0.0)
+
+    def test_cap_rows_only_when_capped(self, example):
+        plain, capped = lpm.build_simplified_lp(example), lpm.build_simplified_lp(example, 2)
+        assert capped.num_rows == plain.num_rows + example.m
+        for (cols, coefs, sense, rhs), row in zip(capped.rows, plain.rows):
+            assert np.array_equal(cols, row[0]) and np.array_equal(coefs, row[1])
+            assert (sense, rhs) == row[2:]
+        for c, (cols, coefs, sense, rhs) in enumerate(capped.rows[plain.num_rows:]):
+            assert [plain.var_names[j] for j in cols] == [f"xu_{u}_{c}" for u in range(example.n)]
+            assert (coefs == 1.0).all() and sense == "<=" and rhs == example.k * 2
+
+    def test_expanded_factors_within_the_cap(self):
+        for base, cap, _ in st_ladder():
+            frac, _ = lpm.solve_fractional(base, cap)
+            frac.check()
+            assert (frac.x.sum(axis=0) <= cap + 1e-9).all()  # every (item, slot)
 
 
 class TestFractionalSolution:

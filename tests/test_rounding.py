@@ -176,6 +176,13 @@ class TestReplay:
             cd.avg_replay(example, example_frac, [])
         assert str((3, 2)) in str(err.value)
 
+    @pytest.mark.parametrize("c,s", [(5, 0), (0, 3), (-1, 0), (0, -1)])
+    def test_focal_outside_the_instance(self, example, example_frac, c, s):
+        # -1 would otherwise index the last item or slot, or mark an empty cell
+        seq = replay_sequence() + [FocalParams(c, s, 0.5)]
+        with pytest.raises(DomainError, match=rf"\({c}, {s}\) outside"):
+            cd.avg_replay(example, example_frac, seq)
+
 
 class TestAvg:
     def test_outputs_feasible_both_samplers(self):

@@ -140,7 +140,7 @@ def _preference_partition(inst: Instance, g: int, seed: int) -> list[list[int]]:
             new_medoids = []
             for gi in range(g):
                 members = np.flatnonzero(labels == gi)
-                costs = dist[np.ix_(members, members)].sum(axis=1)
+                costs = dist[members][:, members].sum(axis=1)
                 new_medoids.append(int(members[np.argmin(costs)]))
             if new_medoids == medoids:
                 break

@@ -56,9 +56,13 @@ def _relaxation(inst: Instance, st: bool = False) -> tuple[FractionalSolution, f
     work = _work_instance(inst)
     if not st:
         return lp.solve_fractional(work)
-    if work.st is None:
-        raise DomainError("instance has no teleportation parameters")
+    _require_st(work)
     return lp.solve_fractional(work, work.st.M)
+
+
+def _require_st(inst: Instance) -> None:
+    if inst.st is None:
+        raise DomainError("instance has no teleportation parameters")
 
 
 def _fractional_for(inst: Instance, path, st: bool) -> FractionalSolution:
@@ -293,6 +297,9 @@ def cmd_compare(args) -> int:
         raise DomainError(f"no rows to compare: --algos {args.algos!r}, --seeds {args.seeds!r}")
     opts = {} if args.groups is None else {"groups": args.groups}
     inst = core.instance_from_dict(core.load_json(args.infile))
+    tele = any(a.endswith("-st") for a in algos)
+    if tele:  # refused before any solve, as in `solve` and `frac`
+        _require_st(inst)
     # each relaxation is solved once here and its factors travel with the
     # cells, so a cell's runtime_ms times the rounding alone; lambda = 0 has
     # no relaxation, so its LP-bound cells stay empty
@@ -300,7 +307,7 @@ def cmd_compare(args) -> int:
     bound_cols = ["", ""]
     if inst.lam > 0 or LP_ALGOS.intersection(algos):
         frac, lp_bound = _relaxation(inst)  # at lambda = 0 an LP algorithm fails as in `solve`
-        st_frac = _relaxation(inst, st=True)[0] if any(a.endswith("-st") for a in algos) else None
+        st_frac = _relaxation(inst, st=True)[0] if tele else None
         bound_cols = [f"{lp_bound:.9g}", f"{inst.lam * lp_bound:.9g}"]
     header = (["algo", "seed", "objective_canonical", "objective_unit_sum", "runtime_ms"]
               + _COMPARE_METRIC_FIELDS

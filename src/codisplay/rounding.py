@@ -188,30 +188,145 @@ def _fallback_fill(state: RoundingState) -> int:
     return unfilled - state.unfilled
 
 
+UNIFORM_BLOCK = 256  # uniform focal draws per `uniform_block`
+_LOW32 = np.uint64(0xFFFFFFFF)
+_U32 = np.uint64(32)
+
+
+def _decode_block(raw: np.ndarray, m: int, k: int):
+    """The uniform focal draws (c, s, alpha) that the raw Philox words `raw`
+    stand for, or None when a bounded draw among them would be rejected and
+    drawn again.  Assumes no 32-bit half buffered beforehand.
+
+    `Generator.integers(b)` draws nothing for b = 1.  For 2 <= b <= 2**32 it
+    takes a 32-bit half, the low half of a fresh raw word or else the high
+    half buffered by the last such call, and keeps the top 32 bits of
+    half * b (Lemire's method) unless the bottom 32 bits fall below
+    2**32 % b.  `Generator.random()` takes the top 53 bits of the next raw
+    word.  So with m, k >= 2 a draw is two words, (c | s << 32) and alpha;
+    with one range of 1, two draws are three words, (first | second << 32)
+    and two alphas; with both ranges 1, a draw is its alpha word.
+    """
+    bounds = [b for b in (m, k) if b > 1]
+    if len(bounds) == 2:
+        words, alpha = raw[0::2], raw[1::2]
+        halves = [words & _LOW32, words >> _U32]
+    elif bounds:
+        pairs = raw.reshape(-1, 3)
+        halves = [np.column_stack([pairs[:, 0] & _LOW32, pairs[:, 0] >> _U32]).ravel()]
+        alpha = pairs[:, 1:].ravel()
+    else:
+        halves, alpha = [], raw
+    drawn = []
+    for half, b in zip(halves, bounds):
+        scaled = half * np.uint64(b)
+        if ((scaled & _LOW32) < (1 << 32) % b).any():
+            return None
+        drawn.append((scaled >> _U32).astype(np.int64))
+    drawn = iter(drawn)  # a range of 1 always draws 0
+    c, s = (next(drawn) if b > 1 else np.zeros(alpha.size, dtype=np.int64) for b in (m, k))
+    return c, s, (alpha >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+
+
+def uniform_block(rng: np.random.Generator, m: int, k: int,
+                  size: int = UNIFORM_BLOCK) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`size` uniform focal draws as arrays (c, s, alpha): value for value
+    what `size` rounds of the scalar calls `rng.integers(m)`,
+    `rng.integers(k)`, `rng.random()` return, leaving `rng` where they would.
+
+    The block is decoded from the raw Philox stream (`_decode_block`) when
+    the decoder can vouch for all of it: no 32-bit half already buffered,
+    no range above 2**32, an even `size` when just one range is 1 (so no
+    half is left buffered), and no Lemire rejection.  Otherwise the
+    generator is put back and the scalar calls draw the block.
+    """
+    bg = rng.bit_generator
+    saved = bg.state
+    ranged = (m > 1) + (k > 1)
+    if (not saved["has_uint32"] and max(m, k) <= 1 << 32
+            and (ranged != 1 or size % 2 == 0)):
+        block = _decode_block(bg.random_raw(size * (2 + ranged) // 2), m, k)
+        if block is not None:
+            return block
+        bg.state = saved
+    draws = [(rng.integers(m), rng.integers(k), rng.random()) for _ in range(size)]
+    c, s, alpha = zip(*draws)
+    return np.array(c, dtype=np.int64), np.array(s, dtype=np.int64), np.array(alpha)
+
+
+def _avg_uniform(state: RoundingState, rng: np.random.Generator) -> tuple[int, int, int]:
+    """avg's uniform loop over blocks of draws; returns (samples, iterations,
+    fallback cells).
+
+    It acts as one `sample_focal` call per draw.  A draw above the cached
+    `xbar()` misses and changes nothing, so one array pass over the rest of
+    the block finds the next draw that may hit, the misses before it are
+    counted at once, and the state is read again only after it changes:
+    after a productive `csf_step` or a fallback fill.  The 64-miss
+    starvation probe acts only on a starved state (`xbar()` sums to 0).  A
+    state is starved from the start or from a change on, and every change
+    restarts the count, so the probe is placed only in starved states, on
+    the draw where it fires per draw.
+    """
+    m, k = state.inst.m, state.inst.k
+    misses = samples = iterations = fallback_cells = 0
+    while state.unfilled:
+        cs, ss, alphas = uniform_block(rng, m, k)
+        cells = cs * k + ss
+        at = 0
+        while at < cells.size and state.unfilled:
+            xb = state.xbar()
+            maybe = np.flatnonzero(xb.ravel()[cells[at:]] >= alphas[at:])
+            run = int(maybe[0]) if maybe.size else cells.size - at  # misses before it
+            if misses + run >= 64 and xb.sum() <= 0.0:  # the 64th miss probes
+                samples += 64 - misses
+                at += 64 - misses
+                misses = 0
+                fallback_cells += _fallback_fill(state)
+                continue
+            samples += run
+            misses += run
+            at += run
+            if at == cells.size:
+                break
+            samples += 1
+            focal = FocalParams(int(cs[at]), int(ss[at]), float(alphas[at]))
+            at += 1
+            if csf_step(state, focal):
+                iterations += 1
+                misses = 0
+            else:
+                misses += 1
+    return samples, iterations, fallback_cells
+
+
 def avg(inst: Instance, frac: FractionalSolution, rng_seed: int = 0,
         sampler: str = "uniform", cap: Optional[int] = None,
         stats: Optional[dict] = None) -> Configuration:
     """Randomized rounding: sample focal parameters until every cell is filled.
 
-    Each draw comes from `sample_focal`.  A uniform draw whose target subgroup
-    is empty is a miss; after 64 misses in a row the state is probed for
-    starvation.  The advanced sampler never misses, and when no positive
-    factor is left the starved cells are filled directly.  When given,
-    `stats` receives the run counters (productive iterations, samples drawn,
-    fallback assignments).
+    Each draw is one `sample_focal` draw; uniform ones come a block at a
+    time (`_avg_uniform`), with the same outputs and counters.  A uniform
+    draw whose target subgroup is empty is a miss; after 64 misses in a row
+    the state is probed for starvation.  The advanced sampler never misses,
+    and when no positive factor is left the starved cells are filled
+    directly.  When given, `stats` receives the run counters (productive
+    iterations, samples drawn, fallback assignments).
     """
     if sampler not in ("uniform", "advanced"):
         raise DomainError(f"unknown sampler {sampler!r}")
     state = RoundingState(inst, frac, cap=cap)
     rng = seeded_rng(rng_seed)
     misses = samples = iterations = fallback_cells = 0
-    while state.unfilled:
+    if sampler == "uniform":
+        samples, iterations, fallback_cells = _avg_uniform(state, rng)
+    while state.unfilled:  # the advanced sampler
         focal = sample_focal(state, rng, sampler)
-        if focal is None and sampler == "advanced":  # no positive factor left
+        if focal is None:  # no positive factor left
             fallback_cells += _fallback_fill(state)
             continue
         samples += 1
-        if focal is not None and csf_step(state, focal):
+        if csf_step(state, focal):
             iterations += 1
             misses = 0
             continue

@@ -591,6 +591,20 @@ class TestBadInput:
         assert capsys.readouterr().err == "error: unknown algorithm 'x'\n"
         assert code == 1 and solves == []
 
+    @pytest.mark.parametrize("algos", ["avg,avg-st", "avgd-st", "per,avgd-st,avgd"])
+    def test_compare_st_without_tele_before_any_solve(self, fixture_files, capsys, monkeypatch,
+                                                      algos):
+        # the fixture has no teleportation parameters: refused as in `solve`
+        # and `frac`, without solving the plain relaxation first
+        solves = []
+        real = cd.lp.solve_lp
+        monkeypatch.setattr(cd.lp, "solve_lp",
+                            lambda *a, **kw: solves.append(1) or real(*a, **kw))
+        code = run(["compare", "--in", fixture_files["inst"], "--algos", algos, "--seeds", "0"])
+        out, err = capsys.readouterr()
+        assert err == "error: instance has no teleportation parameters\n"
+        assert code == 1 and out == "" and solves == []
+
     @pytest.mark.parametrize("algos, seeds", [("per", "5..2"), ("per", ""), (",", "0,1"),
                                               ("", "0,1")],
                              ids=["reversed-range", "no-seeds", "comma-algos", "empty-algos"])

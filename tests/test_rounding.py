@@ -1,6 +1,7 @@
 """Subgroup-formation rounding tests: CSF, replay, both solvers, size caps."""
 
 import copy
+import dataclasses
 import itertools
 import math
 
@@ -15,6 +16,7 @@ from codisplay import rounding
 from codisplay.core import DomainError, running_sum, seeded_rng
 from codisplay.rounding import FocalParams, RoundingState
 
+import avg_reference
 import avgd_reference
 import fallback_reference
 from conftest import (
@@ -270,6 +272,173 @@ class TestAvg:
         best = cd.total_objective(
             example, cd.best_of(example, example_frac, seeds=range(8)), "unit_sum")
         assert best >= single - 1e-12
+
+
+def generator_position(rng):
+    """What decides the generator's next draws: the Philox counter, its
+    buffered words and the buffered 32-bit half.  (`uinteger` is left out:
+    it is only read while `has_uint32` is set.)"""
+    st = rng.bit_generator.state
+    return (st["state"]["counter"].tolist(), st["buffer"].tolist(), st["buffer_pos"],
+            st["has_uint32"])
+
+
+def scalar_draws(rng, m, k, size):
+    return [(int(rng.integers(m)), int(rng.integers(k)), float(rng.random()))
+            for _ in range(size)]
+
+
+def block_draws(block):
+    c, s, alpha = block
+    assert c.dtype == np.int64 and s.dtype == np.int64 and alpha.dtype == np.float64
+    return [(int(a), int(b), float(x)) for a, b, x in zip(c, s, alpha)]
+
+
+class TestUniformBlock:
+    """`uniform_block` returns what the scalar calls of `sample_focal` would
+    draw, in order, and leaves the generator where they would."""
+
+    @pytest.mark.parametrize("m, k", [(2, 2), (5, 3), (20, 4), (7, 7), (1, 4), (6, 1), (1, 1),
+                                      (3 * 2**30, 5), (2**32, 3), (2**32 + 1, 2)])
+    @pytest.mark.parametrize("size", [1, 2, 7, 256])
+    def test_matches_scalar_calls(self, m, k, size):
+        for seed in range(4):
+            for skip in range(3):  # start at several positions in Philox's 4-word buffer
+                want, got = seeded_rng(seed), seeded_rng(seed)
+                want.random(skip), got.random(skip)
+                assert block_draws(rounding.uniform_block(got, m, k, size)) == \
+                    scalar_draws(want, m, k, size)
+                assert generator_position(got) == generator_position(want)
+
+    @pytest.mark.parametrize("m, k", [(2, 2), (20, 4), (6, 1), (1, 1)])
+    def test_typical_blocks_are_decoded(self, m, k):
+        # a rejection at these ranges has odds below 1e-7 per draw, so the
+        # raw words of these seeds decode, and to the scalar draws
+        for seed in range(4):
+            want, got = seeded_rng(seed), seeded_rng(seed)
+            words = 256 * (2 + (m > 1) + (k > 1)) // 2
+            block = rounding._decode_block(got.bit_generator.random_raw(words), m, k)
+            assert block is not None
+            assert block_draws(block) == scalar_draws(want, m, k, 256)
+
+    def test_consecutive_blocks_continue_the_stream(self):
+        want, got = seeded_rng(9), seeded_rng(9)
+        drawn = []
+        for _ in range(3):
+            drawn += block_draws(rounding.uniform_block(got, 12, 3, 100))
+        assert drawn == scalar_draws(want, 12, 3, 300)
+        assert generator_position(got) == generator_position(want)
+
+    def test_buffered_half_falls_back(self):
+        want, got = seeded_rng(4), seeded_rng(4)
+        want.integers(5), got.integers(5)  # leaves the high half buffered
+        assert got.bit_generator.state["has_uint32"] == 1
+        assert block_draws(rounding.uniform_block(got, 5, 3, 16)) == scalar_draws(want, 5, 3, 16)
+        assert generator_position(got) == generator_position(want)
+
+    def test_lemire_rejection_falls_back_without_consuming(self):
+        # a raw word whose low half is 0 scales to leftover 0 < 2**32 % 3 = 1,
+        # so `integers(3)` rejects it and draws again: the block's layout breaks
+        want, got = seeded_rng(2), seeded_rng(2)
+        for rng in (want, got):
+            st = rng.bit_generator.state
+            st["buffer"] = np.array([0xABCD << 32, 7 << 40, 2**63 + 5, 12345 << 20],
+                                    dtype=np.uint64)
+            st["buffer_pos"] = 0
+            rng.bit_generator.state = st
+        peek = copy.deepcopy(got)
+        assert rounding._decode_block(peek.bit_generator.random_raw(8), 3, 2) is None
+        assert block_draws(rounding.uniform_block(got, 3, 2, 4)) == scalar_draws(want, 3, 2, 4)
+        assert generator_position(got) == generator_position(want)
+
+
+# shapes of the block-drawing checks, k = 1 and m = k included
+BLOCK_LADDER = [(6, 4, 2), (6, 3, 1), (10, 5, 3), (12, 6, 2), (20, 8, 3), (30, 6, 1),
+                (40, 10, 4), (60, 12, 4)]
+
+
+def ladder_cases():
+    """(instance, relaxation, caps): no cap, the tight cap ceil(n/m) and a
+    loose one twice as large."""
+    for i, (n, m, k) in enumerate(BLOCK_LADDER):
+        inst = cd.gen_random(n, m, k, edge_prob=0.2, seed=70 + i)
+        frac, _ = lpm.solve_fractional(inst)
+        tight = -(-n // m)
+        yield inst, frac, (None, tight, 2 * tight)
+
+
+def outcome(run):
+    """The assignment and counters of a rounding run, or its error."""
+    stats = {}
+    try:
+        return run(stats).assign.tolist(), stats
+    except DomainError as exc:
+        return str(exc), stats
+
+
+class TestBlockedAvg:
+    """Uniform `avg` draws a block at a time and must match the per-draw
+    loop of `avg_reference`, assignments and counters alike."""
+
+    def test_avg_matches_per_draw_reference(self):
+        for inst, frac, caps in ladder_cases():
+            for cap in caps:
+                for seed in range(3):
+                    want, got = (outcome(lambda st, fn=fn: fn(inst, frac, rng_seed=seed, cap=cap,
+                                                              stats=st))
+                                 for fn in (avg_reference.avg, cd.avg))
+                    assert got == want, (inst.n, inst.m, inst.k, cap, seed)
+
+    @pytest.mark.parametrize("cap", [None, 3])
+    def test_zero_thresholds_on_a_starved_state(self, monkeypatch, cap):
+        # with every factor 0 the state starts starved, and only a draw with
+        # alpha = 0 reaches a maximum factor.  The generator's first words are
+        # crafted: draw 0 is (1, 1, 0.0), a hit on every user (or the first
+        # `cap`); draw 1 repeats it and finds nobody, a miss that counts
+        # towards the probe, which fires on the 64th miss in a row
+        inst = cd.gen_random(5, 3, 2, edge_prob=0.5, seed=1)
+        frac = cd.FractionalSolution(np.zeros((5, 3, 2)))
+        word = (1 << 31) | (3 << 62)  # halves 2**31 and 3 * 2**30: c = 1 of 3, s = 1 of 2
+
+        def crafted(seed):
+            rng = seeded_rng(seed)
+            st = rng.bit_generator.state
+            st["buffer"] = np.array([word, 0, word, 0], dtype=np.uint64)
+            st["buffer_pos"] = 0
+            rng.bit_generator.state = st
+            return rng
+
+        monkeypatch.setattr(rounding, "seeded_rng", crafted)
+        monkeypatch.setattr(avg_reference, "seeded_rng", crafted)
+        want, got = (outcome(lambda st, fn=fn: fn(inst, frac, cap=cap, stats=st))
+                     for fn in (avg_reference.avg, cd.avg))
+        assert got == want
+        assert want[0][0][1] == 1 and want[1]["iterations"] == 1 and want[1]["samples"] >= 65
+
+    def test_wrappers_match_per_draw_reference(self, monkeypatch):
+        def runs():
+            out = []
+            for inst, frac, caps in ladder_cases():
+                for cap in caps:
+                    out.append(outcome(lambda st: cd.best_of(inst, frac, seeds=range(3),
+                                                             cap=cap)))
+                    if cap is not None:
+                        tele = dataclasses.replace(inst, st=cd.StParams(0.3, cap))
+                        out += [outcome(lambda st, seed=seed: cd.avg_st(tele, frac, rng_seed=seed))
+                                for seed in range(2)]
+            return out
+
+        got = runs()
+        monkeypatch.setattr(rounding, "avg", avg_reference.avg)  # what best_of and avg_st call
+        assert got == runs()
+
+    def test_advanced_sampler_unchanged(self):
+        for inst, frac, caps in itertools.islice(ladder_cases(), 4):
+            for cap in caps:
+                want, got = (outcome(lambda st, fn=fn: fn(inst, frac, rng_seed=1,
+                                                          sampler="advanced", cap=cap, stats=st))
+                             for fn in (avg_reference.avg, cd.avg))
+                assert got == want
 
 
 class TestAvgd:

@@ -195,61 +195,47 @@ _U32 = np.uint64(32)
 
 def _decode_block(raw: np.ndarray, m: int, k: int):
     """The uniform focal draws (c, s, alpha) that the raw Philox words `raw`
-    stand for, or None when a bounded draw among them would be rejected and
-    drawn again.  Assumes no 32-bit half buffered beforehand.
+    stand for, with m, k >= 2, or None when a bounded draw among them would
+    be rejected and drawn again.  Assumes no 32-bit half buffered beforehand.
 
-    `Generator.integers(b)` draws nothing for b = 1.  For 2 <= b <= 2**32 it
-    takes a 32-bit half, the low half of a fresh raw word or else the high
-    half buffered by the last such call, and keeps the top 32 bits of
-    half * b (Lemire's method) unless the bottom 32 bits fall below
-    2**32 % b.  `Generator.random()` takes the top 53 bits of the next raw
-    word.  So with m, k >= 2 a draw is two words, (c | s << 32) and alpha;
-    with one range of 1, two draws are three words, (first | second << 32)
-    and two alphas; with both ranges 1, a draw is its alpha word.
+    For 2 <= b <= 2**32, `Generator.integers(b)` takes a 32-bit half, the
+    low half of a fresh raw word or else the high half buffered by the last
+    such call, and keeps the top 32 bits of half * b (Lemire's method)
+    unless the bottom 32 bits fall below 2**32 % b.  `Generator.random()`
+    takes the top 53 bits of the next raw word.  So a draw is two words,
+    (c | s << 32) and alpha.
     """
-    bounds = [b for b in (m, k) if b > 1]
-    if len(bounds) == 2:
-        words, alpha = raw[0::2], raw[1::2]
-        halves = [words & _LOW32, words >> _U32]
-    elif bounds:
-        pairs = raw.reshape(-1, 3)
-        halves = [np.column_stack([pairs[:, 0] & _LOW32, pairs[:, 0] >> _U32]).ravel()]
-        alpha = pairs[:, 1:].ravel()
-    else:
-        halves, alpha = [], raw
+    words, alpha = raw[0::2], raw[1::2]
     drawn = []
-    for half, b in zip(halves, bounds):
+    for half, b in ((words & _LOW32, m), (words >> _U32, k)):
         scaled = half * np.uint64(b)
         if ((scaled & _LOW32) < (1 << 32) % b).any():
             return None
         drawn.append((scaled >> _U32).astype(np.int64))
-    drawn = iter(drawn)  # a range of 1 always draws 0
-    c, s = (next(drawn) if b > 1 else np.zeros(alpha.size, dtype=np.int64) for b in (m, k))
+    c, s = drawn
     return c, s, (alpha >> np.uint64(11)) * (1.0 / 9007199254740992.0)
 
 
-def uniform_block(rng: np.random.Generator, m: int, k: int,
-                  size: int = UNIFORM_BLOCK) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`size` uniform focal draws as arrays (c, s, alpha): value for value
-    what `size` rounds of the scalar calls `rng.integers(m)`,
+def uniform_block(rng: np.random.Generator, m: int,
+                  k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`UNIFORM_BLOCK` uniform focal draws as arrays (c, s, alpha): value for
+    value what as many rounds of the scalar calls `rng.integers(m)`,
     `rng.integers(k)`, `rng.random()` return, leaving `rng` where they would.
 
     The block is decoded from the raw Philox stream (`_decode_block`) when
-    the decoder can vouch for all of it: no 32-bit half already buffered,
-    no range above 2**32, an even `size` when just one range is 1 (so no
-    half is left buffered), and no Lemire rejection.  Otherwise the
-    generator is put back and the scalar calls draw the block.
+    the decoder can vouch for all of it: both ranges in [2, 2**32] (a range
+    of 1 draws nothing), no 32-bit half already buffered, and no Lemire
+    rejection.  Otherwise the generator is put back and the scalar calls
+    draw the block.
     """
     bg = rng.bit_generator
     saved = bg.state
-    ranged = (m > 1) + (k > 1)
-    if (not saved["has_uint32"] and max(m, k) <= 1 << 32
-            and (ranged != 1 or size % 2 == 0)):
-        block = _decode_block(bg.random_raw(size * (2 + ranged) // 2), m, k)
+    if not saved["has_uint32"] and 2 <= min(m, k) and max(m, k) <= 1 << 32:
+        block = _decode_block(bg.random_raw(2 * UNIFORM_BLOCK), m, k)
         if block is not None:
             return block
         bg.state = saved
-    draws = [(rng.integers(m), rng.integers(k), rng.random()) for _ in range(size)]
+    draws = [(rng.integers(m), rng.integers(k), rng.random()) for _ in range(UNIFORM_BLOCK)]
     c, s, alpha = zip(*draws)
     return np.array(c, dtype=np.int64), np.array(s, dtype=np.int64), np.array(alpha)
 
@@ -317,7 +303,7 @@ def avg(inst: Instance, frac: FractionalSolution, rng_seed: int = 0,
         raise DomainError(f"unknown sampler {sampler!r}")
     state = RoundingState(inst, frac, cap=cap)
     rng = seeded_rng(rng_seed)
-    misses = samples = iterations = fallback_cells = 0
+    samples = iterations = fallback_cells = 0
     if sampler == "uniform":
         samples, iterations, fallback_cells = _avg_uniform(state, rng)
     while state.unfilled:  # the advanced sampler
@@ -328,13 +314,6 @@ def avg(inst: Instance, frac: FractionalSolution, rng_seed: int = 0,
         samples += 1
         if csf_step(state, focal):
             iterations += 1
-            misses = 0
-            continue
-        misses += 1
-        if misses >= 64:  # probe for starvation before resampling further
-            if state.xbar().sum() <= 0.0:
-                fallback_cells += _fallback_fill(state)
-            misses = 0
     if stats is not None:
         stats.update(fallback_cells=fallback_cells, samples=samples, iterations=iterations)
     return state.to_configuration()

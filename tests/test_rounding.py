@@ -300,24 +300,22 @@ class TestUniformBlock:
 
     @pytest.mark.parametrize("m, k", [(2, 2), (5, 3), (20, 4), (7, 7), (1, 4), (6, 1), (1, 1),
                                       (3 * 2**30, 5), (2**32, 3), (2**32 + 1, 2)])
-    @pytest.mark.parametrize("size", [1, 2, 7, 256])
-    def test_matches_scalar_calls(self, m, k, size):
+    def test_matches_scalar_calls(self, m, k):
         for seed in range(4):
             for skip in range(3):  # start at several positions in Philox's 4-word buffer
                 want, got = seeded_rng(seed), seeded_rng(seed)
                 want.random(skip), got.random(skip)
-                assert block_draws(rounding.uniform_block(got, m, k, size)) == \
-                    scalar_draws(want, m, k, size)
+                assert block_draws(rounding.uniform_block(got, m, k)) == \
+                    scalar_draws(want, m, k, 256)
                 assert generator_position(got) == generator_position(want)
 
-    @pytest.mark.parametrize("m, k", [(2, 2), (20, 4), (6, 1), (1, 1)])
+    @pytest.mark.parametrize("m, k", [(2, 2), (5, 3), (20, 4), (7, 7)])
     def test_typical_blocks_are_decoded(self, m, k):
         # a rejection at these ranges has odds below 1e-7 per draw, so the
         # raw words of these seeds decode, and to the scalar draws
         for seed in range(4):
             want, got = seeded_rng(seed), seeded_rng(seed)
-            words = 256 * (2 + (m > 1) + (k > 1)) // 2
-            block = rounding._decode_block(got.bit_generator.random_raw(words), m, k)
+            block = rounding._decode_block(got.bit_generator.random_raw(512), m, k)
             assert block is not None
             assert block_draws(block) == scalar_draws(want, m, k, 256)
 
@@ -325,15 +323,15 @@ class TestUniformBlock:
         want, got = seeded_rng(9), seeded_rng(9)
         drawn = []
         for _ in range(3):
-            drawn += block_draws(rounding.uniform_block(got, 12, 3, 100))
-        assert drawn == scalar_draws(want, 12, 3, 300)
+            drawn += block_draws(rounding.uniform_block(got, 12, 3))
+        assert drawn == scalar_draws(want, 12, 3, 3 * 256)
         assert generator_position(got) == generator_position(want)
 
     def test_buffered_half_falls_back(self):
         want, got = seeded_rng(4), seeded_rng(4)
         want.integers(5), got.integers(5)  # leaves the high half buffered
         assert got.bit_generator.state["has_uint32"] == 1
-        assert block_draws(rounding.uniform_block(got, 5, 3, 16)) == scalar_draws(want, 5, 3, 16)
+        assert block_draws(rounding.uniform_block(got, 5, 3)) == scalar_draws(want, 5, 3, 256)
         assert generator_position(got) == generator_position(want)
 
     def test_lemire_rejection_falls_back_without_consuming(self):
@@ -347,8 +345,8 @@ class TestUniformBlock:
             st["buffer_pos"] = 0
             rng.bit_generator.state = st
         peek = copy.deepcopy(got)
-        assert rounding._decode_block(peek.bit_generator.random_raw(8), 3, 2) is None
-        assert block_draws(rounding.uniform_block(got, 3, 2, 4)) == scalar_draws(want, 3, 2, 4)
+        assert rounding._decode_block(peek.bit_generator.random_raw(512), 3, 2) is None
+        assert block_draws(rounding.uniform_block(got, 3, 2)) == scalar_draws(want, 3, 2, 256)
         assert generator_position(got) == generator_position(want)
 
 

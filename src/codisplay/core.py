@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -84,6 +85,9 @@ class Instance:
     computation reads the read-only edge index built from it: endpoints
     ``eu``/``ev`` (E,), ``tau`` (E, 2, m) = (tau(eu, ev, .), tau(ev, eu, .))
     per edge, and weights ``w = tau[:, 0] + tau[:, 1]`` (E, m).
+
+    ``optimistic_ub`` and ``optimistic_ranking`` are built on first use and
+    kept; a copy made by ``dataclasses.replace`` or by pickling builds its own.
     """
 
     n: int
@@ -149,6 +153,21 @@ class Instance:
     @property
     def num_edges(self) -> int:
         return len(self.edges)
+
+    @cached_property
+    def optimistic_ub(self) -> np.ndarray:
+        """Read-only `optimistic_utility` of the instance."""
+        ub = optimistic_utility(self)
+        ub.setflags(write=False)
+        return ub
+
+    @cached_property
+    def optimistic_ranking(self) -> np.ndarray:
+        """Read-only (n, m): each user's items by descending optimistic
+        utility, ties to the lower index."""
+        ranked = np.argsort(-self.optimistic_ub, axis=1, kind="stable")
+        ranked.setflags(write=False)
+        return ranked
 
     def edges_within(self, users) -> np.ndarray:
         """(E,) mask of the edges with both endpoints among `users`."""
@@ -426,10 +445,9 @@ def metrics(inst: Instance, config: Configuration) -> MetricsReport:
 
     # Regret: achieved utility (slots added in order) over the optimistic
     # top-k bound.
-    ub = optimistic_utility(inst)
     achieved = np.cumsum(_cell_utilities(inst, a), axis=1)[:, -1]
-    top = np.argsort(-ub, axis=1, kind="stable")[:, :k]  # ties to the lower item
-    denom = np.take_along_axis(ub, top, axis=1).sum(axis=1)
+    top = inst.optimistic_ranking[:, :k]
+    denom = np.take_along_axis(inst.optimistic_ub, top, axis=1).sum(axis=1)
     hap = np.ones(n)
     ok = denom > FLOAT_ATOL
     hap[ok] = achieved[ok] / denom[ok]

@@ -17,8 +17,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (Configuration, DomainError, Instance, optimistic_utility, running_sum,
-                   seeded_rng, total_objective)
+from .core import (Configuration, DomainError, Instance, running_sum, seeded_rng,
+                   total_objective)
 from .lp import FractionalSolution
 
 EXACT_SUBSET_LIMIT = 12
@@ -55,12 +55,15 @@ class RoundingState:
     Cells are never rewritten once set.  An (item, slot) subgroup holds at
     most `limit` users: the size cap, or n, which never binds.  The factors
     are copied, so zeroing those of a full subgroup leaves the caller's intact.
-    Only `assign_users` changes the state, so `xbar` is kept until it does.
+    Every assignment goes through `_apply`, which keeps the copy of the
+    factors open to each user that `xbar` reads and marks the last result
+    stale; `_assign` adds the zeroing of a full subgroup and `assign_users`
+    the checks.
 
     `live[u, s]` counts the items u does not hold whose factor x[u, c, s] is
     positive; an empty cell with none left is starved.  `zeroings` counts the
-    `assign_users` calls that changed a factor, so whoever derives terms from
-    `x` knows when to derive them again.
+    full subgroups whose remaining factors were zeroed, so whoever derives
+    terms from `x` knows when to derive them again.
     """
 
     def __init__(self, inst: Instance, frac: FractionalSolution, cap: Optional[int] = None):
@@ -78,7 +81,12 @@ class RoundingState:
         self.limit = int(limit)
         self.unfilled = inst.n * inst.k
         self.zeroings = 0
+        # (m, k, n), built on the first `xbar` read: the factor of each
+        # eligible user, 0 once it is not, so that `xbar` is one reduction
+        # over contiguous runs
+        self._open: Optional[np.ndarray] = None
         self._xbar: Optional[np.ndarray] = None
+        self._stale = True  # `_open` changed since `xbar` was read
 
     def eligible(self, u: int, c: int, s: int) -> bool:
         """True iff user u has slot s empty and has never been shown item c."""
@@ -93,38 +101,74 @@ class RoundingState:
 
     def xbar(self) -> np.ndarray:
         """(m, k) maximum factor over currently eligible users; 0 when none.
-        Read-only, and recomputed only after `assign_users`."""
-        if self._xbar is None:
+
+        Read-only, and reused until an assignment changes the state.  The
+        reduction reads the copy of the open factors that assignments keep
+        up to date, so it needs no mask of eligible users."""
+        if self._open is None:
             mask = (self.assign < 0)[:, None, :] & ~self.held[:, :, None]  # (n, m, k)
-            self._xbar = np.where(mask, self.x, 0.0).max(axis=0)
-            self._xbar.setflags(write=False)
-        return self._xbar
+            self._open = np.where(mask, self.x, 0.0).transpose(1, 2, 0).copy()
+        elif not self._stale:
+            return self._xbar
+        xb = self._open.max(axis=2)
+        xb.setflags(write=False)
+        self._xbar, self._stale = xb, False
+        return xb
 
     def assign_users(self, users: Sequence[int], c: int, s: int) -> None:
         """Show item c at slot s to `users`; once the subgroup is full, zero
-        the factors of its remaining eligible users so nothing selects it."""
-        self._xbar = None
-        done = []
-        try:
-            for u in users:
-                if not self.eligible(u, c, s):
-                    raise DomainError(f"user {u} is not eligible for item {c} at slot {s}")
-                self.assign[u, s] = c
-                self.held[u, c] = True
-                self.counts[c, s] += 1
-                self.unfilled -= 1
-                done.append(u)
-        finally:
-            if done:  # item c no longer counts towards any slot of these users
-                rows = done[0] if len(done) == 1 else np.array(done)  # basic indexing is cheaper
-                self.live[rows] -= self.x[rows, c] > 0.0
-        if self.room(c, s) <= 0:
-            rest = self.eligible_users(c, s)
-            factors = self.x[rest, c, s]
-            if factors.any():
-                self.live[rest, s] -= factors > 0.0
-                self.x[rest, c, s] = 0.0
-                self.zeroings += 1
+        the factors of its remaining eligible users so nothing selects it.
+
+        The users are assigned in order up to the first one not eligible (a
+        repeated user is not), and then a DomainError names that user.  A
+        list that is not of user ids in [0, n) is refused before any of it
+        is assigned."""
+        users = np.asarray(users)
+        n = self.inst.n
+        if users.ndim != 1 or users.size and users.dtype.kind not in "iu":
+            raise DomainError(f"users must be a list of integer user ids, got {users.tolist()}")
+        outside = (users < 0) | (users >= n)
+        if outside.any():
+            raise DomainError(f"user {users[np.argmax(outside)]} is not in [0, {n})")
+        users = users.astype(np.int64, copy=False)
+        ok = (self.assign[users, s] < 0) & ~self.held[users, c]
+        if users.size > 1 and not (users[1:] > users[:-1]).all():  # may repeat a user
+            order = np.argsort(users, kind="stable")
+            ok[order[1:][users[order[1:]] == users[order[:-1]]]] = False  # later copies
+        if not ok.all():
+            bad = int(np.argmin(ok))
+            self._apply(users[:bad], c, s)
+            raise DomainError(f"user {users[bad]} is not eligible for item {c} at slot {s}")
+        self._assign(users, c, s)
+
+    def _assign(self, users, c: int, s: int) -> None:
+        """`assign_users` without its checks, for users that are distinct and
+        eligible by construction: an index array or one int."""
+        self._apply(users, c, s)
+        if self.counts[c, s] < self.limit:
+            return
+        rest = self.eligible_users(c, s)
+        factors = self.x[rest, c, s]
+        if factors.any():
+            self.live[rest, s] -= factors > 0.0
+            self.x[rest, c, s] = 0.0
+            if self._open is not None:
+                self._open[c, s, rest] = 0.0
+            self.zeroings += 1
+
+    def _apply(self, users, c: int, s: int) -> None:
+        """Show item c at slot s to `users`, distinct and eligible: an index
+        array or one int."""
+        self.assign[users, s] = c
+        self.held[users, c] = True
+        count = 1 if isinstance(users, int) else users.size
+        self.counts[c, s] += count
+        self.unfilled -= count
+        self.live[users] -= self.x[users, c] > 0.0  # item c no longer counts towards any slot
+        if self._open is not None:
+            self._open[:, s, users] = 0.0
+            self._open[c, :, users] = 0.0
+            self._stale = True
 
     def to_configuration(self) -> Configuration:
         if self.unfilled:
@@ -152,9 +196,8 @@ def csf_step(state: RoundingState, focal: FocalParams) -> list[int]:
     if target.size > room:
         order = np.lexsort((target, -state.x[target, c, s]))  # factor desc, index asc
         target = target[order][:room]
-    chosen = [int(u) for u in target]
-    state.assign_users(chosen, c, s)
-    return chosen
+    state._assign(target, c, s)
+    return target.tolist()
 
 
 def _fallback_fill(state: RoundingState) -> int:
@@ -163,16 +206,18 @@ def _fallback_fill(state: RoundingState) -> int:
     Only reachable after size-cap zeroing, or with degenerate fractional
     input.  The cells are visited in (user, slot) order from the first
     starved one, reading starvation from `state.live`; each takes the
-    item of highest optimistic utility (ties to the lower index) that the
-    user does not hold and whose subgroup has room.  A fill may starve
-    further cells: those after the current one are filled in this call,
-    those before it in the next.  Returns the number of cells assigned.
+    item that ranks highest in `inst.optimistic_ranking` among those the
+    user does not hold and whose subgroup has room, and is assigned
+    directly, zeroing the subgroup's other factors when it fills.  A fill
+    may starve further cells: those after the current one are filled in
+    this call, those before it in the next.  Returns the number of cells
+    assigned.
     """
     starved = np.flatnonzero(((state.assign < 0) & (state.live == 0)).ravel())
     if not starved.size:
         return 0
     k = state.inst.k
-    ranked = np.argsort(-optimistic_utility(state.inst), axis=1, kind="stable")  # (n, m)
+    ranked = state.inst.optimistic_ranking
     unfilled = state.unfilled
     for cell in range(int(starved[0]), state.assign.size):
         u, s = divmod(cell, k)
@@ -184,11 +229,12 @@ def _fallback_fill(state: RoundingState) -> int:
                 break
         else:
             raise DomainError(f"size cap leaves no feasible item for user {u} at slot {s}")
-        state.assign_users([u], int(c), s)
+        state._assign(u, int(c), s)
     return unfilled - state.unfilled
 
 
-UNIFORM_BLOCK = 256  # uniform focal draws per `uniform_block`
+UNIFORM_BLOCK = 256  # uniform focal draws in a decoded `uniform_block`
+SCALAR_BLOCK = 16  # draws in a block of scalar calls; a call may use only a few
 _LOW32 = np.uint64(0xFFFFFFFF)
 _U32 = np.uint64(32)
 
@@ -218,15 +264,16 @@ def _decode_block(raw: np.ndarray, m: int, k: int):
 
 def uniform_block(rng: np.random.Generator, m: int,
                   k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`UNIFORM_BLOCK` uniform focal draws as arrays (c, s, alpha): value for
+    """A block of uniform focal draws as arrays (c, s, alpha): value for
     value what as many rounds of the scalar calls `rng.integers(m)`,
     `rng.integers(k)`, `rng.random()` return, leaving `rng` where they would.
 
-    The block is decoded from the raw Philox stream (`_decode_block`) when
-    the decoder can vouch for all of it: both ranges in [2, 2**32] (a range
-    of 1 draws nothing), no 32-bit half already buffered, and no Lemire
-    rejection.  Otherwise the generator is put back and the scalar calls
-    draw the block.
+    `UNIFORM_BLOCK` draws are decoded from the raw Philox stream
+    (`_decode_block`) when the decoder can vouch for all of them: both
+    ranges in [2, 2**32] (a range of 1 draws nothing), no 32-bit half
+    already buffered, and no Lemire rejection.  Otherwise the generator is
+    put back and the scalar calls draw a short block of `SCALAR_BLOCK`, so
+    that a shape with m or k equal to 1 draws about as many as it uses.
     """
     bg = rng.bit_generator
     saved = bg.state
@@ -235,7 +282,7 @@ def uniform_block(rng: np.random.Generator, m: int,
         if block is not None:
             return block
         bg.state = saved
-    draws = [(rng.integers(m), rng.integers(k), rng.random()) for _ in range(UNIFORM_BLOCK)]
+    draws = [(rng.integers(m), rng.integers(k), rng.random()) for _ in range(SCALAR_BLOCK)]
     c, s, alpha = zip(*draws)
     return np.array(c, dtype=np.int64), np.array(s, dtype=np.int64), np.array(alpha)
 
@@ -532,40 +579,56 @@ def avgd(inst: Instance, frac: FractionalSolution, r: float = 0.25,
     only the empty cells of slot s, the users holding item c and, when it
     fills the subgroup, the factors x[:, c, s]; a cell (c', s') with c' != c
     and s' != s therefore keeps its eligible set, linear scores, pair
-    bonuses, room and factor order, hence its exact (score, users).  So only the m + k - 1
-    cells of row c and column s are rescored, as one `_score_cells` batch,
-    and a fallback assignment, which may touch any cell, rescores all of them.
-    Likewise a step recomputes only the loss of slot s.  The relaxation
-    terms (the pair values, lpref and the pair sums q_es) depend on the
-    factors alone, so they are derived again only after a full subgroup
-    zeroed a factor (`state.zeroings` moved): never without a cap.  Then a
-    step recomputes the pair values of (c, s), and lpref and q_es are taken
-    over the whole arrays, since reducing one slot's slice would make numpy
-    sum pairwise and change the last bits.
+    bonuses, room and factor order, hence its exact (score, users).  So only
+    the m + k - 1 cells of row c and column s are rescored, as one
+    `_score_cells` batch.  A fallback fill acts as one such step per cell it
+    fills, so the rows and columns of its cells are rescored.  Likewise only
+    the loss of the slots a step or fill touched is recomputed.  The
+    relaxation terms (the pair values, lpref and the pair sums q_es) depend
+    on the factors alone, so they are derived again only after a full
+    subgroup zeroed a factor (`state.zeroings` moved): never without a cap.
+    Then the pair values of the (c, s) that filled up are recomputed, and
+    lpref and q_es are taken over the whole arrays, since reducing one
+    slot's slice would make numpy sum pairwise and change the last bits;
+    their values at other slots come out as before.
     """
     if not (np.isfinite(r) and r >= 0):
         raise DomainError(f"balancing ratio must be finite and nonnegative, got {r}")
     state = RoundingState(inst, frac, cap=cap)
     m, k = inst.m, inst.k
-    pref, eu, ev, w = inst.pref, inst.eu, inst.ev, inst.w
+    pref, eu, ev, w, xt = inst.pref, inst.eu, inst.ev, inst.w, state.x
     ends = np.column_stack([eu, ev]).ravel()  # (u, v) of each edge in turn
     at = np.argsort(ends, kind="stable")  # each user's edge ends, in edge order
     nbrs = (ends[at], ends[at ^ 1], at // 2, np.searchsorted(ends[at], np.arange(inst.n + 1)))
     cells: list[list] = [[None] * k for _ in range(m)]  # _score_cells per (c, s)
     fresh = np.zeros((m, k), dtype=bool)  # cells[c][s] is current
+    stale_loss = np.ones(k, dtype=bool)  # slots whose loss is out of date
     loss = np.zeros((inst.n, k))
+    pair = w[:, :, None] * np.minimum(xt[eu], xt[ev])  # (E, m, k)
     seen = -1  # state.zeroings when lpref and q_es were last derived from x
+
+    def fill() -> int:
+        """`_fallback_fill`, marking stale what its cells changed."""
+        was_empty, zeroings = state.assign < 0, state.zeroings
+        filled = _fallback_fill(state)
+        if filled:
+            u, s = np.nonzero(was_empty & (state.assign >= 0))
+            c = state.assign[u, s]
+            fresh[c] = False
+            fresh[:, s] = False
+            stale_loss[s] = True
+            if state.zeroings != zeroings:  # subgroups it filled zeroed factors
+                c, s = np.divmod(np.unique(c * k + s), k)
+                full = state.counts[c, s] >= state.limit
+                c, s = c[full], s[full]
+                pair[:, c, s] = w[:, c] * np.minimum(xt[eu[:, None], c, s], xt[ev[:, None], c, s])
+        return filled
+
     while state.unfilled:
-        if _fallback_fill(state):
-            fresh[:] = False
+        fill()
         if not state.unfilled:
             break
-        xt = state.x
         empty = state.assign < 0  # (n, k)
-        if not fresh.any():  # every cell is stale, as after a fallback
-            slots = slice(None)
-            if seen != state.zeroings:  # factors anywhere may have changed
-                pair = w[:, :, None] * np.minimum(xt[eu], xt[ev])  # (E, m, k)
         if seen != state.zeroings:  # a full subgroup zeroed factors
             lpref = np.einsum("uc,ucs->us", pref, xt)  # value of each open cell
             q_es = pair.sum(axis=1)  # (E, k)
@@ -573,8 +636,11 @@ def avgd(inst: Instance, frac: FractionalSolution, r: float = 0.25,
         both_open = empty[eu] & empty[ev]
         # linear loss of closing a cell: its own value plus pair terms shared
         # with still-open same-slot partners, added edge by edge
+        redo = np.flatnonzero(stale_loss)  # a slot between two stale ones is redone exactly
+        slots = slice(redo[0], redo[-1] + 1)
         loss[:, slots] = np.where(empty[:, slots], lpref[:, slots], 0.0)
         np.add.at(loss[:, slots], ends, np.repeat(both_open[:, slots] * q_es[:, slots], 2, axis=0))
+        stale_loss[:] = False
 
         stale = np.nonzero(~fresh)
         for c, s, cell in zip(*stale, _score_cells(state, *stale, r, loss, q_es, nbrs)):
@@ -587,9 +653,8 @@ def avgd(inst: Instance, frac: FractionalSolution, r: float = 0.25,
                 if cell is not None and (best is None or cell[0] > best[0] + _TIE_EPS):
                     best = (cell[0], c, s, cell[1])
         if best is None:
-            if not _fallback_fill(state):
+            if not fill():
                 raise DomainError("avgd found no cell to assign")
-            fresh[:] = False
             continue
         score, c, s, users = best
         if trace is not None:
@@ -603,15 +668,15 @@ def avgd(inst: Instance, frac: FractionalSolution, r: float = 0.25,
                 "c": int(c),
                 "s": int(s),
                 "alpha": float(xt[users, c, s].min()),
-                "users": [int(u) for u in users],
+                "users": users.tolist(),
                 "alg": alg,
                 "opt_lp_fut": opt_fut,
                 "f": alg + r * opt_fut,
             })
-        state.assign_users([int(u) for u in users], int(c), int(s))
+        state._assign(users, c, s)
         fresh[c, :] = False
         fresh[:, s] = False
-        slots = slice(s, s + 1)  # the open cells of slot s changed
+        stale_loss[s] = True  # the open cells of slot s changed
         if seen != state.zeroings:  # and so did the factors x[:, c, s]
             pair[:, c, s] = w[:, c] * np.minimum(xt[eu, c, s], xt[ev, c, s])
     return state.to_configuration()

@@ -1,5 +1,6 @@
 """Model, objective, and metrics tests."""
 
+import dataclasses
 import inspect
 import math
 import pickle
@@ -590,6 +591,53 @@ class TestArraysMatchEdgeLoops:
             rep = cd.metrics(inst, cfg).to_dict()
             for field, value in ref_metrics(inst, cfg).items():
                 assert rep[field] == value, field
+
+
+class TestOptimisticCache:
+    """The optimistic utility and ranking an instance builds once: read-only,
+    exact, and never carried into a copy, which builds its own."""
+
+    CACHED = ("optimistic_ub", "optimistic_ranking")
+
+    @staticmethod
+    def assert_fresh_and_exact(inst):
+        assert not set(TestOptimisticCache.CACHED) & set(vars(inst))
+        ub = cd.core.optimistic_utility(inst)
+        assert np.array_equal(inst.optimistic_ub, ub)
+        assert np.array_equal(inst.optimistic_ranking, np.argsort(-ub, axis=1, kind="stable"))
+
+    def test_built_once_read_only(self):
+        inst = cd.gen_random(12, 6, 3, edge_prob=0.3, seed=2)
+        self.assert_fresh_and_exact(inst)
+        for name in self.CACHED:
+            arr = getattr(inst, name)
+            assert getattr(inst, name) is arr and not arr.flags.writeable
+
+    def test_ties_rank_the_lower_item_first(self):
+        inst = cd.Instance(n=2, m=4, k=2, pref=np.array([[1.0, 2.0, 2.0, 1.0], [0.0] * 4]),
+                           edges=(), lam=0.5)
+        assert inst.optimistic_ranking.tolist() == [[1, 2, 0, 3], [0, 1, 2, 3]]
+
+    def test_copies_build_their_own(self):
+        inst = cd.gen_random(12, 6, 3, edge_prob=0.3, seed=3, d_tel=0.5, m_cap=4)
+        low = dataclasses.replace(inst, lam=0.3)
+        for parent in (inst, low):
+            parent.optimistic_ranking  # build the parents' caches first
+        others = [dataclasses.replace(inst, pref=inst.pref[:, ::-1]), cd.scale_preferences(low),
+                  *(sub for sub, _ in cd.st_prepartition(inst))]
+        for other in others:
+            self.assert_fresh_and_exact(other)
+        clone = pickle.loads(pickle.dumps(inst))  # as `compare --jobs 2` sends it
+        self.assert_fresh_and_exact(clone)
+        assert np.array_equal(clone.optimistic_ranking, inst.optimistic_ranking)
+
+    def test_metrics_equal_on_a_cached_and_a_fresh_instance(self):
+        for inst in random_suite(8, base_seed=41):
+            rng = np.random.default_rng(inst.n)
+            for _ in range(3):
+                cfg = random_config(inst, rng)
+                fresh = cd.core.instance_from_dict(cd.core.instance_to_dict(inst))
+                assert cd.metrics(inst, cfg).to_dict() == cd.metrics(fresh, cfg).to_dict()
 
 
 class TestSeededRng:

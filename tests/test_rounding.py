@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import codisplay as cd
+from codisplay import core
 from codisplay import lp as lpm
 from codisplay import rounding
 from codisplay.core import DomainError, running_sum, seeded_rng
@@ -19,6 +20,7 @@ from codisplay.rounding import FocalParams, RoundingState
 import avg_reference
 import avgd_reference
 import fallback_reference
+import state_reference
 from conftest import (
     DETERMINISTIC_TABLE,
     EXPECTED_UNIT,
@@ -301,12 +303,17 @@ class TestUniformBlock:
     @pytest.mark.parametrize("m, k", [(2, 2), (5, 3), (20, 4), (7, 7), (1, 4), (6, 1), (1, 1),
                                       (3 * 2**30, 5), (2**32, 3), (2**32 + 1, 2)])
     def test_matches_scalar_calls(self, m, k):
+        # ranges in [2, 2**32] whose 256-draw blocks hold no rejection at
+        # these seeds; at 3 * 2**30 a quarter of the draws are rejected, and
+        # a range of 1 or above 2**32 is never decoded
+        decoded = (m, k) in {(2, 2), (5, 3), (20, 4), (7, 7), (2**32, 3)}
         for seed in range(4):
             for skip in range(3):  # start at several positions in Philox's 4-word buffer
                 want, got = seeded_rng(seed), seeded_rng(seed)
                 want.random(skip), got.random(skip)
-                assert block_draws(rounding.uniform_block(got, m, k)) == \
-                    scalar_draws(want, m, k, 256)
+                block = block_draws(rounding.uniform_block(got, m, k))
+                assert len(block) == (rounding.UNIFORM_BLOCK if decoded else rounding.SCALAR_BLOCK)
+                assert block == scalar_draws(want, m, k, len(block))
                 assert generator_position(got) == generator_position(want)
 
     @pytest.mark.parametrize("m, k", [(2, 2), (5, 3), (20, 4), (7, 7)])
@@ -327,11 +334,26 @@ class TestUniformBlock:
         assert drawn == scalar_draws(want, 12, 3, 3 * 256)
         assert generator_position(got) == generator_position(want)
 
+    @pytest.mark.parametrize("m, k", [(6, 1), (1, 4), (3, 1)])
+    def test_short_scalar_blocks_continue_the_stream(self, m, k):
+        # with k = 1 each integers(m) takes a 32-bit half, so a block may end
+        # with the other half buffered for the next
+        want, got = seeded_rng(9), seeded_rng(9)
+        got.integers(m), want.integers(m)
+        drawn = []
+        for _ in range(3):
+            block = block_draws(rounding.uniform_block(got, m, k))
+            assert len(block) == rounding.SCALAR_BLOCK
+            drawn += block
+        assert drawn == scalar_draws(want, m, k, 3 * rounding.SCALAR_BLOCK)
+        assert generator_position(got) == generator_position(want)
+
     def test_buffered_half_falls_back(self):
         want, got = seeded_rng(4), seeded_rng(4)
         want.integers(5), got.integers(5)  # leaves the high half buffered
         assert got.bit_generator.state["has_uint32"] == 1
-        assert block_draws(rounding.uniform_block(got, 5, 3)) == scalar_draws(want, 5, 3, 256)
+        assert block_draws(rounding.uniform_block(got, 5, 3)) == \
+            scalar_draws(want, 5, 3, rounding.SCALAR_BLOCK)
         assert generator_position(got) == generator_position(want)
 
     def test_lemire_rejection_falls_back_without_consuming(self):
@@ -346,7 +368,8 @@ class TestUniformBlock:
             rng.bit_generator.state = st
         peek = copy.deepcopy(got)
         assert rounding._decode_block(peek.bit_generator.random_raw(512), 3, 2) is None
-        assert block_draws(rounding.uniform_block(got, 3, 2)) == scalar_draws(want, 3, 2, 256)
+        assert block_draws(rounding.uniform_block(got, 3, 2)) == \
+            scalar_draws(want, 3, 2, rounding.SCALAR_BLOCK)
         assert generator_position(got) == generator_position(want)
 
 
@@ -675,6 +698,46 @@ def _avgd_full_rescore(inst, frac, r, trace, cap=None):
     return state.to_configuration()
 
 
+def terms_events(monkeypatch):
+    """The events of an avgd run, in order: "build" when lpref is derived
+    from the factors, "zero" when a full subgroup zeroed factors and "fill
+    zero" when that happened inside a fallback fill."""
+    events = []
+    real_einsum, real_assign, real_fill = np.einsum, RoundingState._assign, rounding._fallback_fill
+    in_fill = []
+
+    def einsum(subscripts, *operands, **kw):
+        if subscripts == "uc,ucs->us":  # lpref
+            events.append("build")
+        return real_einsum(subscripts, *operands, **kw)
+
+    def assign(state, users, c, s):
+        before = state.zeroings
+        real_assign(state, users, c, s)
+        if state.zeroings != before:
+            events.append("fill zero" if in_fill else "zero")
+
+    def fallback_fill(state):
+        in_fill.append(1)
+        try:
+            return real_fill(state)
+        finally:
+            in_fill.pop()
+
+    monkeypatch.setattr(np, "einsum", einsum)
+    monkeypatch.setattr(RoundingState, "_assign", assign)
+    monkeypatch.setattr(rounding, "_fallback_fill", fallback_fill)
+    return events
+
+
+def assert_terms_follow_zeroings(events):
+    """The first event builds the terms, and every later build follows a
+    zeroing since the build before it."""
+    builds = [i for i, e in enumerate(events) if e == "build"]
+    assert builds[0] == 0
+    assert all({"zero", "fill zero"} & set(events[a:b]) for a, b in zip(builds, builds[1:]))
+
+
 def _outcome(fn):
     """(assignment, trace) of an avgd-style call, or the error it raised."""
     trace = []
@@ -723,6 +786,19 @@ class TestIncrementalAvgd:
             want = _outcome(lambda tr: _avgd_full_rescore(inst, frac, r, [], M))
             assert got == want, (shape, r, M)
 
+    def test_sparse_factors_with_fills_match_full_rescoring(self):
+        # sparse random factors under caps starve cells mid-run, so fallback
+        # fills (some of them filling and zeroing a subgroup) come between
+        # steps and only their rows and columns are rescored
+        for seed in range(150):
+            rng = np.random.default_rng(seed)
+            n, m, k = int(rng.integers(8, 30)), int(rng.integers(3, 7)), int(rng.integers(2, 4))
+            inst = cd.gen_random(n, m, k, edge_prob=0.3, seed=seed)
+            frac = cd.FractionalSolution(rng.random((n, m, k)) * (rng.random((n, m, k)) < 0.3))
+            cap = [-(-n // m), -(-n // m) + 1, 2 * -(-n // m)][seed % 3]
+            got = _outcome(lambda tr: cd.avgd(inst, frac, r=0.25, trace=tr, cap=cap))
+            assert got == _outcome(lambda tr: _avgd_full_rescore(inst, frac, 0.25, tr, cap)), seed
+
     def test_step_rescores_only_its_row_and_column(self, monkeypatch):
         inst = cd.gen_random(16, 5, 3, edge_prob=0.4, seed=4300)
         m, k = inst.m, inst.k
@@ -743,49 +819,50 @@ class TestIncrementalAvgd:
         assert per_step.max() <= m + k - 1
 
     def test_no_starved_cell_skips_optimistic_utility(self, monkeypatch):
+        # the fallback's item ranking is built once per instance, on the
+        # first fill that finds a starved cell; `metrics` reads it too
         inst = cd.gen_random(16, 5, 3, edge_prob=0.4, seed=4300)
         calls = []
-        real = rounding.optimistic_utility
-        monkeypatch.setattr(rounding, "optimistic_utility",
-                            lambda i: calls.append(1) or real(i))
-        cd.avgd(inst, _uniform_frac(inst), r=0.25)
+        real = core.optimistic_utility
+        monkeypatch.setattr(core, "optimistic_utility", lambda i: calls.append(1) or real(i))
+        cfg = cd.avgd(inst, _uniform_frac(inst), r=0.25)
         assert calls == []
         # a starved state still gets filled, through one utility table
-        state = RoundingState(inst, cd.FractionalSolution(np.zeros((inst.n, inst.m, inst.k))))
+        starved = cd.FractionalSolution(np.zeros((inst.n, inst.m, inst.k)))
+        state = RoundingState(inst, starved)
         assert rounding._fallback_fill(state) == inst.n * inst.k
         assert state.unfilled == 0 and calls == [1]
+        assert rounding._fallback_fill(RoundingState(inst, starved, cap=4)) == inst.n * inst.k
+        cd.metrics(inst, cfg)
+        assert calls == [1]
 
     @pytest.mark.parametrize("cap", [None, 4, 8])
     def test_relaxation_terms_rebuilt_only_after_zeroing(self, monkeypatch, cap):
         # lpref, q_es and pair depend on the factors alone, so avgd derives
         # them again only after a full subgroup zeroed a factor
         inst = cd.gen_random(16, 5, 3, edge_prob=0.4, seed=4300)
-        events = []
-        real_einsum, real_assign = np.einsum, RoundingState.assign_users
-
-        def einsum(subscripts, *operands, **kw):
-            if subscripts == "uc,ucs->us":  # lpref
-                events.append("build")
-            return real_einsum(subscripts, *operands, **kw)
-
-        def assign_users(state, users, c, s):
-            before = state.zeroings
-            real_assign(state, users, c, s)
-            if state.zeroings != before:
-                events.append("zero")
-
-        monkeypatch.setattr(np, "einsum", einsum)
-        monkeypatch.setattr(RoundingState, "assign_users", assign_users)
+        events = terms_events(monkeypatch)
         trace = []
         cd.avgd(inst, _uniform_frac(inst), r=0.25, trace=trace, cap=cap)
-        builds = [i for i, e in enumerate(events) if e == "build"]
-        assert builds[0] == 0
-        # every build after the first follows a zeroing since the last one
-        assert all("zero" in events[a:b] for a, b in zip(builds, builds[1:]))
+        assert_terms_follow_zeroings(events)
         if cap is None:
             assert events == ["build"]
         else:
-            assert 1 < len(builds) < len(trace)
+            assert 1 < events.count("build") < len(trace)
+
+    def test_fallback_zeroing_rebuilds_terms(self, monkeypatch):
+        # sparse factors at cap 4: a fallback fill fills a subgroup and zeroes
+        # factors, and the terms are derived again before the next step
+        inst = cd.gen_random(16, 5, 3, edge_prob=0.4, seed=4300)
+        rng = np.random.default_rng(1)
+        x = rng.random((16, 5, 3)) * (rng.random((16, 5, 3)) < 0.3)
+        frac = cd.FractionalSolution(x)
+        want = _outcome(lambda tr: _avgd_full_rescore(inst, frac, 0.25, tr, 4))
+        assert want[0] != "error"
+        events = terms_events(monkeypatch)
+        assert _outcome(lambda tr: cd.avgd(inst, frac, r=0.25, trace=tr, cap=4)) == want
+        assert_terms_follow_zeroings(events)
+        assert "fill zero" in events
 
     def test_no_open_cell_raises(self, example, example_frac):
         # a cap of 0 is rejected before any cell is scored
@@ -1114,6 +1191,131 @@ class TestStarvationCounts:
             state.assign_users([1, 1], 2, 0)  # the second entry repeats a user
         assert state.assign[1, 0] == 2
         assert np.array_equal(state.live, fresh_live(state))
+
+
+def state_fields(state):
+    """Every field a rounding step may change, as plain values."""
+    return (state.assign.tolist(), state.held.tolist(), state.counts.tolist(),
+            state.live.tolist(), state.x.tolist(), state.zeroings, state.unfilled)
+
+
+def attempt(fn, state):
+    """fn(state), or the message of the DomainError it raised."""
+    try:
+        return fn(state)
+    except DomainError as exc:
+        return f"error: {exc}"
+
+
+def assert_state_matches_reference(rng, n, m, k, p, cap):
+    """Random operations applied alike to a `RoundingState` and to the
+    `state_reference.ReferenceState` of the same factors: csf steps (one or
+    two before a read), starvation fills, subgroup-filling assignments and
+    user lists that are empty, unsorted, repeat a user or hold ineligible
+    users.  After each, the return values or errors and every field agree,
+    and `xbar()` is read-only and equals the full rebuild.  Returns the
+    kinds of operation seen."""
+    k, tight = min(k, m), -(-n // m)
+    cap = {"none": None, "tight": tight, "loose": 2 * tight}[cap]
+    inst = cd.gen_random(n, m, k, edge_prob=p, seed=int(rng.integers(2**31)))
+    frac = cd.FractionalSolution(rng.random((n, m, k)) * (rng.random((n, m, k)) < 0.7))
+    state = RoundingState(inst, frac, cap=cap)
+    ref = state_reference.ReferenceState(inst, frac, cap=cap)
+    kinds = set()
+    for _ in range(3 * n * k):
+        if not state.unfilled:
+            break
+        c, s = int(rng.integers(m)), int(rng.integers(k))
+        elig = ref.eligible_users(c, s)
+        kind = ["step", "two steps", "fill", "fill subgroup", "unsorted", "repeat", "ineligible",
+                "empty"][int(rng.integers(8))]
+        if kind in ("step", "two steps"):
+            focals = [FocalParams(int(rng.integers(m)), int(rng.integers(k)), float(rng.random()))
+                      for _ in range(1 if kind == "step" else 2)]
+            got = [rounding.csf_step(state, f) for f in focals]
+            want = [state_reference.csf_step(ref, f) for f in focals]
+        elif kind == "fill":
+            got = attempt(rounding._fallback_fill, state)
+            want = attempt(fallback_reference.fallback_fill, ref)
+        else:
+            if kind == "fill subgroup":
+                users = rng.choice(elig, max(min(elig.size - 1, ref.room(c, s)), 0), replace=False)
+            elif kind == "unsorted":
+                users = rng.permutation(elig)[:max(ref.room(c, s), 0)]
+            elif kind == "repeat":
+                users = rng.choice(elig, min(elig.size, 3), replace=False).tolist()
+                if users:
+                    users.insert(int(rng.integers(1, len(users) + 1)), users[0])
+            elif kind == "ineligible":
+                users = rng.choice(n, int(rng.integers(1, min(n, 4) + 1)), replace=False)
+            else:
+                users = []
+            users = [int(u) for u in users]
+            got, want = (attempt(lambda st: st.assign_users(users, c, s), st)
+                         for st in (state, ref))
+        assert got == want, kind
+        assert state_fields(state) == state_fields(ref), kind
+        kinds.add(kind)
+        if isinstance(got, str):
+            kinds.add("error")
+        xb = state.xbar()
+        assert not xb.flags.writeable
+        assert xb.tolist() == ref.xbar().tolist(), kind
+        if isinstance(got, str) and got.startswith("error: size cap"):
+            break
+    return kinds
+
+
+class TestStateReference:
+    """`RoundingState`'s array `assign_users`, direct fills and kept copy
+    of the open factors against the per-user state of `state_reference`."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 24), st.integers(2, 6), st.integers(1, 3),
+           st.sampled_from([0.1, 0.3, 0.6]), st.sampled_from(["none", "tight", "loose"]),
+           st.integers(0, 2**32 - 1))
+    def test_matches_reference(self, n, m, k, p, cap, seed):
+        assert_state_matches_reference(np.random.default_rng(seed), n, m, k, p, cap)
+
+    def test_seeded_runs_cover_every_kind(self):
+        rng = np.random.default_rng(23)
+        kinds = set()
+        for i in range(300):
+            n, m, k = int(rng.integers(2, 25)), int(rng.integers(2, 7)), int(rng.integers(1, 4))
+            kinds |= assert_state_matches_reference(rng, n, m, k, [0.1, 0.3, 0.6][i % 3],
+                                                    ["none", "tight", "loose"][i // 3 % 3])
+        assert kinds == {"step", "two steps", "fill", "fill subgroup", "unsorted", "repeat",
+                         "ineligible", "empty", "error"}
+
+    def test_matches_reference_at_scale(self):
+        # n = 200 as in the benchmark
+        kinds = assert_state_matches_reference(np.random.default_rng(5), 200, 20, 4, 0.03, "loose")
+        assert {"step", "fill subgroup", "error"} <= kinds
+
+    def test_rejected_list_assigns_up_to_the_first_ineligible_user(self, example, example_frac):
+        state = RoundingState(example, example_frac, cap=3)
+        with pytest.raises(DomainError, match="user 3 is not eligible for item 2 at slot 0"):
+            state.assign_users([1, 0, 3, 3], 2, 0)  # the second 3 repeats a user
+        assert state.assign[:, 0].tolist() == [2, 2, -1, 2]
+        # the subgroup is full, but its factors are zeroed only on success
+        assert state.room(2, 0) == 0 and state.zeroings == 0 and state.x[2, 2, 0] > 0.0
+        assert np.array_equal(state.live, fresh_live(state))
+
+    @pytest.mark.parametrize("users, message", [
+        ([-1, 3], r"user -1 is not in \[0, 4\)"),  # -1 would index user 3 as well
+        ([0, 4], r"user 4 is not in \[0, 4\)"),
+        ([0, 1.5], "integer user ids"),
+        ([[0, 1]], "integer user ids"),
+    ])
+    def test_list_of_non_users_refused_before_any_assignment(self, example, example_frac,
+                                                             users, message):
+        state = RoundingState(example, example_frac)
+        before = state_fields(state)
+        with pytest.raises(DomainError, match=message):
+            state.assign_users(users, 2, 0)
+        assert state_fields(state) == before
+        state.assign_users([], 2, 0)  # an empty list is a list of user ids
+        assert state_fields(state) == before
 
 
 class TestNonFiniteFactors:

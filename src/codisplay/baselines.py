@@ -117,8 +117,50 @@ def _friendship_partition(inst: Instance, g: int) -> list[list[int]]:
     return clusters
 
 
+PREF_RESTARTS = 20  # k-medoids restarts of the preference partition
+PREF_MAX_ROUNDS = 100  # Voronoi rounds a restart may take before it stops
+# clusters of at least this many members are summed one at a time: their
+# row-then-column gather costs less per entry than one padded gather
+_GATHER_ALONE = 16
+
+
+def _cluster_medoids(padded: np.ndarray, labels: np.ndarray, g: int) -> np.ndarray:
+    """The medoid of every cluster of every row of ``labels`` (restarts, n):
+    the member with the least distance sum to its cluster, ties to the lower
+    user.  ``padded`` is the distance matrix with a zero row and column n
+    appended.
+
+    The sums are those of ``dist[members][:, members].sum(axis=1)``, which
+    numpy adds left to right along each row, as that array is column-major.
+    Large clusters are summed with that expression.  The smaller clusters of
+    all restarts are gathered at once, as a (clusters, q, q) array laid out
+    the same way, q their largest size; a shorter cluster is filled up with
+    user n, whose trailing zeros leave each sum as it was."""
+    runs, n = labels.shape
+    block = (np.arange(runs)[:, None] * g + labels).ravel()  # (restart, cluster) of each user
+    users = np.argsort(block, kind="stable") % n  # the members of each block, ascending
+    sizes = np.bincount(block, minlength=runs * g)
+    starts = np.cumsum(sizes) - sizes
+    medoids = np.empty(runs * g, dtype=np.int64)
+    for b in np.flatnonzero(sizes >= _GATHER_ALONE):
+        members = users[starts[b]:starts[b] + sizes[b]]
+        medoids[b] = members[np.argmin(padded[members][:, members].sum(axis=1))]
+    small = np.flatnonzero(sizes < _GATHER_ALONE)
+    if small.size:
+        slot = np.arange(sizes[small].max())
+        real = slot < sizes[small, None]  # (clusters, q)
+        members = np.where(real, users[np.minimum(starts[small, None] + slot, n * runs - 1)], n)
+        costs = padded[members[:, None, :], members[:, :, None]].sum(axis=1)
+        costs[~real] = np.inf
+        medoids[small] = members[np.arange(small.size), np.argmin(costs, axis=1)]
+    return medoids.reshape(runs, g)
+
+
 def _preference_partition(inst: Instance, g: int, seed: int) -> list[list[int]]:
-    """g-medoids on preference rows with cosine distance, best of 20 restarts."""
+    """g-medoids on preference rows with cosine distance, best of PREF_RESTARTS
+    restarts.  The restarts advance in lockstep: each round relabels the
+    users of every restart whose medoids still moved, then re-picks their
+    medoids; a restart stops when its medoids repeat."""
     n = inst.n
     norms = np.linalg.norm(inst.pref, axis=1)
     safe = np.where(norms > 0, norms, 1.0)
@@ -128,28 +170,28 @@ def _preference_partition(inst: Instance, g: int, seed: int) -> list[list[int]]:
     sim[:, norms == 0] = 0.0
     dist = 1.0 - sim
     np.fill_diagonal(dist, 0.0)
+    padded = np.pad(dist, (0, 1))
 
-    rng = seeded_rng(seed)
-    best_cost, best_labels = np.inf, None
-    for _ in range(20):
-        medoids = list(rng.choice(n, size=g, replace=False))
-        for _ in range(100):
-            labels = np.argmin(dist[:, medoids], axis=1)
-            for gi, med in enumerate(medoids):
-                labels[med] = gi  # a medoid stays in its own cluster
-            new_medoids = []
-            for gi in range(g):
-                members = np.flatnonzero(labels == gi)
-                costs = dist[members][:, members].sum(axis=1)
-                new_medoids.append(int(members[np.argmin(costs)]))
-            if new_medoids == medoids:
-                break
-            medoids = new_medoids
-        cost = float(dist[np.arange(n), np.asarray(medoids)[labels]].sum())
+    rng = seeded_rng(seed)  # the medoid draws are its only use, in restart order
+    medoids = np.array([rng.choice(n, size=g, replace=False) for _ in range(PREF_RESTARTS)])
+    labels = np.empty((PREF_RESTARTS, n), dtype=np.intp)
+    live = np.arange(PREF_RESTARTS)
+    for _ in range(PREF_MAX_ROUNDS):
+        med = medoids[live]
+        lab = np.argmin(dist[:, med], axis=2).T  # (live, n)
+        lab[np.arange(live.size)[:, None], med] = np.arange(g)  # a medoid stays in its own cluster
+        labels[live] = lab
+        new = _cluster_medoids(padded, lab, g)
+        medoids[live] = new
+        live = live[(new != med).any(axis=1)]
+        if not live.size:
+            break
+    costs = dist[np.arange(n), np.take_along_axis(medoids, labels, axis=1)].sum(axis=1)
+    best_cost, best = np.inf, 0
+    for r, cost in enumerate(costs.tolist()):
         if cost < best_cost - 1e-12:
-            best_cost, best_labels = cost, labels.copy()
-    clusters = [sorted(np.flatnonzero(best_labels == gi).tolist()) for gi in range(g)]
-    clusters = [cl for cl in clusters if cl]
+            best_cost, best = cost, r
+    clusters = [np.flatnonzero(labels[best] == gi).tolist() for gi in range(g)]  # none empty
     clusters.sort(key=lambda cl: cl[0])
     return clusters
 

@@ -12,6 +12,7 @@ from codisplay import lp as lpm
 from codisplay.core import DomainError
 
 from friendship_reference import friendship_partition
+from preference_reference import preference_partition
 from conftest import (
     EXPECTED_UNIT,
     FRIEND_PARTITION,
@@ -166,6 +167,66 @@ class TestFriendshipPartitionReference:
                                  d_tel=0.3, m_cap=2 + seed % 3)
             got = [users.tolist() for _, users in cd.st_prepartition(inst)]
             assert got == friendship_partition(inst, math.ceil(inst.n / inst.st.M))
+
+
+def _preference_instance(rng, n, case):
+    """n users whose preference rows are random, rounded to one decimal (tied
+    distances), partly copies of one row, or partly zero (distance 1 to all)."""
+    m = int(rng.integers(2, 8))
+    pref = rng.random((n, m))
+    if case == 1:
+        pref = np.round(pref, 1)
+    if case >= 2:
+        pref[rng.integers(0, n, size=n // 2)] = pref[rng.integers(0, n)]
+    if case == 3:
+        pref[rng.integers(0, n, size=max(1, n // 4))] = 0.0
+    return cd.Instance(n=n, m=m, k=1, pref=pref, edges=(), lam=0.5)
+
+
+class TestPreferencePartitionReference:
+    """The lockstep restarts give the restart-by-restart reference's partitions."""
+
+    def test_seeded_sweep(self):
+        rng = np.random.Generator(np.random.Philox(2025))
+        for i in range(520):
+            n = 1 + i % 40
+            inst = _preference_instance(rng, n, i // 40 % 4)
+            g, seed = int(rng.integers(1, n + 1)), int(rng.integers(0, 10_000))
+            assert bl._preference_partition(inst, g, seed) == preference_partition(inst, g, seed)
+
+    @pytest.mark.parametrize("rounds", [1, 2])
+    def test_round_limit(self, monkeypatch, rounds):
+        # no natural case is known to reach the limit: lower it to reach that exit
+        monkeypatch.setattr(bl, "PREF_MAX_ROUNDS", rounds)
+        rng = np.random.Generator(np.random.Philox(2026))
+        for i in range(80):
+            n = int(rng.integers(4, 41))
+            inst = _preference_instance(rng, n, i % 4)
+            g, seed = int(rng.integers(2, n + 1)), int(rng.integers(0, 10_000))
+            assert bl._preference_partition(inst, g, seed) == preference_partition(
+                inst, g, seed, rounds=rounds)
+
+    def test_medoid_sums_in_row_order(self):
+        # distances from a few values tie many member sums in exact arithmetic,
+        # so a sum taken in another order than the reference's picks another
+        # medoid on some of these clusters
+        rng = np.random.Generator(np.random.Philox(2027))
+        for _ in range(400):
+            n = int(rng.integers(2, 41))
+            g = int(rng.integers(1, n + 1))
+            dist = np.triu(rng.choice([0.1, 0.2, 0.3, 0.7], size=(n, n)), 1)
+            dist += dist.T
+            labels = rng.integers(0, g, size=(3, n))
+            for row in labels:
+                row[rng.choice(n, size=g, replace=False)] = np.arange(g)  # no empty cluster
+            want = []
+            for row in labels:
+                picks = []
+                for c in range(g):
+                    members = np.flatnonzero(row == c)
+                    picks.append(members[np.argmin(dist[members][:, members].sum(axis=1))])
+                want.append(picks)
+            assert np.array_equal(bl._cluster_medoids(np.pad(dist, (0, 1)), labels, g), want)
 
 
 def _internal_edges(inst, partition):

@@ -693,6 +693,53 @@ class TestFracCommand:
         assert (x.sum(axis=0) <= 2 + 1e-9).all()
 
 
+class TestParserReuse:
+    """In-process `main` calls share one parser and act as with a fresh one."""
+
+    @staticmethod
+    def _session(files, capsys):
+        """(exit code, stdout, stderr, written file) of each call, runtime_ms blanked."""
+        inst, frac = files["inst"], files["frac"]
+        sol, model = files["dir"] / "sol.json", files["dir"] / "model.lp"
+        calls = [
+            ["solve", "--algo", "nope", "--in", inst],  # argparse usage error
+            ["solve", "--algo", "avgd", "--in", inst, "--frac", frac, "--out", str(sol)],
+            ["compare", "--in", inst, "--algos", "per,bogus"],  # DomainError
+            ["eval", "--in", inst, "--sol", str(sol)],
+            ["compare", "--in", inst, "--algos", "avgd,per,sub-pref", "--seeds", "0..2"],
+            ["export", "--in", inst, "--model", "simp", "--out", str(model)],
+            ["solve", "--algo", "sub-pref", "--in", inst, "--groups", "2", "--seed", "3"],
+        ]
+        outcomes = []
+        for argv in calls:
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            rows = [line.split(",") for line in out.splitlines()]
+            if argv[0] in ("solve", "compare"):
+                for row in rows[argv[0] == "compare":]:  # below the compare header
+                    row[4] = "-"  # runtime_ms
+            text = Path(argv[-1]).read_text() if "--out" in argv else None
+            if argv[0] == "solve" and text:
+                text = json.dumps({k: v for k, v in json.loads(text).items()
+                                   if k != "runtime_ms"})
+            outcomes.append((code, rows, err, text))
+        return outcomes
+
+    def test_shared_parser_matches_fresh_parsers(self, fixture_files, capsys, monkeypatch):
+        assert cli._parser() is cli._parser()
+        shared = [self._session(fixture_files, capsys) for _ in range(2)]
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = self._session(fixture_files, capsys)
+        assert shared[0] == shared[1] == fresh
+        codes = [code for code, _, _, _ in fresh]
+        assert codes == [2, 0, 1, 0, 0, 0, 0]
+        assert "invalid choice: 'nope'" in fresh[0][2]
+        assert fresh[2][2] == "error: unknown algorithm 'bogus'\n"
+
+
 def _subprocess_env() -> dict:
     """The environment with this checkout's ``src`` first on PYTHONPATH."""
     src = str(Path(cd.__file__).resolve().parents[1])

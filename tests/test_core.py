@@ -4,6 +4,7 @@ import dataclasses
 import inspect
 import math
 import pickle
+import types
 
 import numpy as np
 import pytest
@@ -139,6 +140,47 @@ class TestValidate:
         for inst in random_suite(6, base_seed=40):
             cfg, _ = cd.brute_force(inst, "unit_sum")
             assert cd.validate(cfg, inst) == []
+
+    def test_matches_the_cell_loop(self):
+        # random tables, some with out-of-range items and repeats put in
+        rng = np.random.Generator(np.random.Philox(17))
+        valid = 0
+        for trial in range(400):
+            n, k = int(rng.integers(1, 30)), int(rng.integers(1, 6))
+            inst = cd.gen_random(n, k + int(rng.integers(0, 5)), k, edge_prob=0.0, seed=trial)
+            assign = np.array([rng.choice(inst.m, size=k, replace=False) for _ in range(n)])
+            for _ in range(trial % 4):
+                u, s = int(rng.integers(0, n)), int(rng.integers(0, k))
+                assign[u, s] = rng.choice([-1, inst.m, inst.m + 3, assign[u, 0]])
+            cfg = cd.Configuration(assign=assign)
+            assert cd.validate(cfg, inst) == _validate_loop(cfg, inst)
+            valid += not _validate_loop(cfg, inst)
+        assert 100 <= valid < 400  # both the array check and the loop ran
+
+    def test_float_table_takes_the_loop(self, example):
+        # each entry is truncated to an item as the loop reads it: 1.9 is item 1,
+        # a repeat of slot 2 that no comparison of the floats would find
+        table = np.array([[0.0, 1.9, 1.0], [0.0, 1.0, 2.5], [0.0, 1.0, 2.0], [0.0, 1.0, 2.0]])
+        cfg = types.SimpleNamespace(assign=table)
+        assert cd.validate(cfg, example) == _validate_loop(cfg, example) == [
+            ("duplicate", 0, 1, 2, 1)]
+
+
+def _validate_loop(config, inst):
+    """`core.validate` cell by cell: the reference its array check is held to."""
+    violations = []
+    for u in range(inst.n):
+        first_slot = {}
+        for s in range(inst.k):
+            c = int(config.assign[u, s])
+            if not 0 <= c < inst.m:
+                violations.append(("index", u, s))
+                continue
+            if c in first_slot:
+                violations.append(("duplicate", u, first_slot[c], s, c))
+            else:
+                first_slot[c] = s
+    return violations
 
 
 class TestSavgUtility:

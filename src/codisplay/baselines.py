@@ -119,40 +119,34 @@ def _friendship_partition(inst: Instance, g: int) -> list[list[int]]:
 
 PREF_RESTARTS = 20  # k-medoids restarts of the preference partition
 PREF_MAX_ROUNDS = 100  # Voronoi rounds a restart may take before it stops
-# clusters of at least this many members are summed one at a time: their
-# row-then-column gather costs less per entry than one padded gather
-_GATHER_ALONE = 16
 
 
-def _cluster_medoids(padded: np.ndarray, labels: np.ndarray, g: int) -> np.ndarray:
+def _cluster_medoids(dist: np.ndarray, labels: np.ndarray, g: int) -> np.ndarray:
     """The medoid of every cluster of every row of ``labels`` (restarts, n):
     the member with the least distance sum to its cluster, ties to the lower
-    user.  ``padded`` is the distance matrix with a zero row and column n
-    appended.
+    user.
 
     The sums are those of ``dist[members][:, members].sum(axis=1)``, which
     numpy adds left to right along each row, as that array is column-major.
-    Large clusters are summed with that expression.  The smaller clusters of
-    all restarts are gathered at once, as a (clusters, q, q) array laid out
-    the same way, q their largest size; a shorter cluster is filled up with
-    user n, whose trailing zeros leave each sum as it was."""
+    The clusters of one size q, over all restarts, are gathered as one
+    (clusters, q, q) array laid out the same way: entry [c, i, j] is
+    ``dist[members[j], members[i]]`` and the sum runs over i, not along the
+    contiguous last axis, which numpy would add pairwise."""
     runs, n = labels.shape
     block = (np.arange(runs)[:, None] * g + labels).ravel()  # (restart, cluster) of each user
-    users = np.argsort(block, kind="stable") % n  # the members of each block, ascending
     sizes = np.bincount(block, minlength=runs * g)
-    starts = np.cumsum(sizes) - sizes
+    order = np.argsort(sizes, kind="stable")  # the blocks by size, then index
+    # the members of the blocks in that order, each block's ascending
+    users = np.argsort(sizes[block] * (runs * g) + block, kind="stable") % n
+    picks, lo = [], 0
+    for q, count in zip(*(a.tolist() for a in np.unique(sizes, return_counts=True))):
+        members = users[lo:lo + q * count].reshape(count, q)
+        costs = dist.take(members[:, None, :] * n + members[:, :, None]).sum(axis=1)
+        picks.append(np.argmin(costs, axis=1))
+        lo += q * count
+    starts = np.cumsum(sizes[order]) - sizes[order]
     medoids = np.empty(runs * g, dtype=np.int64)
-    for b in np.flatnonzero(sizes >= _GATHER_ALONE):
-        members = users[starts[b]:starts[b] + sizes[b]]
-        medoids[b] = members[np.argmin(padded[members][:, members].sum(axis=1))]
-    small = np.flatnonzero(sizes < _GATHER_ALONE)
-    if small.size:
-        slot = np.arange(sizes[small].max())
-        real = slot < sizes[small, None]  # (clusters, q)
-        members = np.where(real, users[np.minimum(starts[small, None] + slot, n * runs - 1)], n)
-        costs = padded[members[:, None, :], members[:, :, None]].sum(axis=1)
-        costs[~real] = np.inf
-        medoids[small] = members[np.arange(small.size), np.argmin(costs, axis=1)]
+    medoids[order] = users[starts + np.concatenate(picks)]
     return medoids.reshape(runs, g)
 
 
@@ -170,7 +164,6 @@ def _preference_partition(inst: Instance, g: int, seed: int) -> list[list[int]]:
     sim[:, norms == 0] = 0.0
     dist = 1.0 - sim
     np.fill_diagonal(dist, 0.0)
-    padded = np.pad(dist, (0, 1))
 
     rng = seeded_rng(seed)  # the medoid draws are its only use, in restart order
     medoids = np.array([rng.choice(n, size=g, replace=False) for _ in range(PREF_RESTARTS)])
@@ -181,7 +174,7 @@ def _preference_partition(inst: Instance, g: int, seed: int) -> list[list[int]]:
         lab = np.argmin(dist[:, med], axis=2).T  # (live, n)
         lab[np.arange(live.size)[:, None], med] = np.arange(g)  # a medoid stays in its own cluster
         labels[live] = lab
-        new = _cluster_medoids(padded, lab, g)
+        new = _cluster_medoids(dist, lab, g)
         medoids[live] = new
         live = live[(new != med).any(axis=1)]
         if not live.size:

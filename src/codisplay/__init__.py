@@ -1,7 +1,7 @@
 """Solver library for social-aware group item-display configuration.
 
 Builds the assignment integer program, solves its linear relaxation with
-HiGHS's dual simplex through scipy, rounds fractional solutions through
+HiGHS's dual simplex (scipy's copy of HiGHS, called directly), rounds fractional solutions through
 co-display subgroup formation (randomized and deterministic), and benchmarks
 against baseline strategies with an exact brute-force oracle at small scale.
 """

@@ -13,8 +13,11 @@ them by column index: each block is an index array, and the rows
 (``LpModel.add_rows``) are reshapes, transposes and stacks of those arrays.
 Variable names are made once per block, for export and ``LpResult.value``.
 
-``solve_lp`` hands a model to HiGHS's dual simplex through scipy and checks
-the primal residual and dual certificate of every optimum it returns.
+``solve_lp`` fills HiGHS's model object column-wise from the rows, calls
+HiGHS's dual simplex directly (scipy's private ``_highspy._core``, with the
+options of ``linprog(method="highs-ds")``, whose results it matches to the
+bit) and checks the primal residual and dual certificate of every optimum
+it returns.
 """
 
 from __future__ import annotations
@@ -100,8 +103,11 @@ class LpResult:
         return float(self.x[self._index[name]])
 
 
-# scipy.optimize.linprog status codes; any other code is a solver failure
-_HIGHS_STATUS = {0: "optimal", 1: "iteration_limit", 2: "infeasible", 3: "unbounded"}
+# HiGHS model statuses as linprog maps them (a model HiGHS cannot load counts
+# as infeasible); any other status is a solver failure
+_HIGHS_STATUS = {"kOptimal": "optimal", "kTimeLimit": "iteration_limit",
+                 "kIterationLimit": "iteration_limit", "kInfeasible": "infeasible",
+                 "kModelError": "infeasible", "kUnbounded": "unbounded"}
 
 
 class _FlatRows(NamedTuple):
@@ -128,15 +134,31 @@ def _flat_rows(model: LpModel) -> _FlatRows:
     )
 
 
-class _HighsForm(NamedTuple):
-    """A model as ``min c.x  s.t.  a_ub x <= b_ub,  a_eq x = b_eq,  0 <= x <= upper``."""
+class _MinForm(NamedTuple):
+    """A model as ``min c.x  s.t.  a x <= b`` on its first ``num_ub`` rows,
+    ``a x = b`` on the rest, ``0 <= x <= upper``; ``a`` is stored column-wise
+    (sorted by column, then row) with no repeated (row, column) pair."""
 
     c: np.ndarray
-    a_ub: object  # scipy.sparse CSR, possibly with no rows
-    b_ub: np.ndarray
-    a_eq: object
-    b_eq: np.ndarray
+    row: np.ndarray  # row of each stored coefficient
+    col: np.ndarray
+    val: np.ndarray
+    b: np.ndarray
+    num_ub: int
     upper: np.ndarray  # inf where the model has no bound
+
+
+class _HighsRun(NamedTuple):
+    """One HiGHS solve: the mapped status (None for a failure) and its
+    message; at an optimum also the point, the row duals and the bound duals
+    (HiGHS's column duals split by basis status, as linprog's marginals)."""
+
+    status: Optional[str]
+    message: str
+    x: Optional[np.ndarray] = None
+    y: Optional[np.ndarray] = None
+    y_low: Optional[np.ndarray] = None
+    y_up: Optional[np.ndarray] = None
 
 
 def solve_lp(model: LpModel, max_iter: int = 1_000_000) -> LpResult:
@@ -146,67 +168,116 @@ def solve_lp(model: LpModel, max_iter: int = 1_000_000) -> LpResult:
     iteration_limit; every optimum has its primal feasibility residual
     verified below 1e-7 and its dual certificate checked
     (``_check_certificate``).  A HiGHS failure of any other kind raises
-    ArithmeticError.  scipy is imported on the first call, so commands that
-    never solve do not pay for the import.
+    ArithmeticError.  HiGHS is imported on the first call, so commands that
+    never solve do not pay for the import of scipy.
     """
-    from scipy.optimize import linprog
-
     names = tuple(model.var_names)
     flat = _flat_rows(model)
-    form = _highs_form(model, flat)
-    res = linprog(form.c, A_ub=form.a_ub, b_ub=form.b_ub, A_eq=form.a_eq, b_eq=form.b_eq,
-                  bounds=np.column_stack([np.zeros(form.c.size), form.upper]),
-                  method="highs-ds", options={"maxiter": max_iter})
-    status = _HIGHS_STATUS.get(res.status)
-    if status is None:
-        raise ArithmeticError(f"HiGHS failed: {res.message}")
-    if status != "optimal":
-        return LpResult(0.0, np.zeros(model.num_vars), status, names)
-    x = np.asarray(res.x, dtype=float)
-    _check_residuals(flat, x)
-    _check_certificate(form, x, res.ineqlin.marginals, res.eqlin.marginals,
-                       res.upper.marginals, res.lower.marginals)
-    return LpResult(float(np.asarray(model.obj, dtype=float) @ x), x, "optimal", names)
+    form = _min_form(model, flat)
+    run = _run_highs(form, max_iter)
+    if run.status is None:
+        raise ArithmeticError(f"HiGHS failed: {run.message}")
+    if run.status != "optimal":
+        return LpResult(0.0, np.zeros(model.num_vars), run.status, names)
+    _check_residuals(flat, run.x)
+    _check_certificate(form, run)
+    return LpResult(float(np.asarray(model.obj, dtype=float) @ run.x), run.x, "optimal", names)
 
 
-def _highs_form(model: LpModel, flat: _FlatRows) -> _HighsForm:
-    """Builds the constraint matrix once as CSR, negates ``>=`` rows and
-    splits it into its inequality and equality blocks."""
-    from scipy import sparse
-
-    flip = np.where(flat.senses == ">=", -1.0, 1.0)
-    rhs = flat.rhs * flip
-    a = sparse.csr_array((flat.vals * flip[flat.row_of], (flat.row_of, flat.cols)),
-                         shape=(flat.rhs.size, model.num_vars))
-    eq = np.flatnonzero(flat.senses == "=")
-    ub = np.flatnonzero(flat.senses != "=")
+def _min_form(model: LpModel, flat: _FlatRows) -> _MinForm:
+    """Negates the objective of a maximization and the ``>=`` rows, puts the
+    inequality rows before the equality rows (each in model order, as
+    linprog stacks them) and sorts the coefficients by column, then row,
+    summing any repeated pair."""
     c = np.asarray(model.obj, dtype=float)
-    return _HighsForm(-c if model.maximize else c, a[ub], rhs[ub], a[eq], rhs[eq], flat.upper)
+    if not (np.isfinite(c).all() and np.isfinite(flat.vals).all()
+            and np.isfinite(flat.rhs).all()):
+        raise ValueError("LP model has a non-finite coefficient or right-hand side")
+    flip = np.where(flat.senses == ">=", -1.0, 1.0)
+    is_eq = flat.senses == "="
+    order = np.argsort(is_eq, kind="stable")
+    position = np.empty_like(order)
+    position[order] = np.arange(order.size)
+    row = position[flat.row_of]
+    val = flat.vals * flip[flat.row_of]
+    by_col = np.lexsort((row, flat.cols))
+    row, col, val = row[by_col], flat.cols[by_col], val[by_col]
+    repeat = (col[1:] == col[:-1]) & (row[1:] == row[:-1])
+    if repeat.any():
+        first = np.flatnonzero(np.concatenate([[True], ~repeat]))
+        row, col, val = row[first], col[first], np.add.reduceat(val, first)
+    return _MinForm(-c if model.maximize else c, row, col, val, (flat.rhs * flip)[order],
+                    int(order.size - is_eq.sum()), flat.upper)
 
 
-def _check_certificate(form: _HighsForm, x: np.ndarray, y_ub: np.ndarray,
-                       y_eq: np.ndarray, y_up: np.ndarray, y_low: np.ndarray) -> None:
+def _run_highs(form: _MinForm, max_iter: int) -> _HighsRun:
+    """Hands ``form`` to HiGHS with the options of linprog's "highs-ds"
+    (presolve on, dual simplex, both iteration limits ``max_iter``, no
+    output) and reads its status, point and duals."""
+    from scipy.optimize._highspy import _core as hs
+
+    num_cols, num_rows = form.c.size, form.b.size
+    lp = hs.HighsLp()  # lists convert to HiGHS's vectors faster than arrays
+    lp.num_col_ = lp.a_matrix_.num_col_ = num_cols
+    lp.num_row_ = lp.a_matrix_.num_row_ = num_rows
+    lp.a_matrix_.format_ = hs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = np.searchsorted(form.col, np.arange(num_cols + 1)).tolist()
+    lp.a_matrix_.index_ = form.row.tolist()
+    lp.a_matrix_.value_ = form.val.tolist()
+    lp.col_cost_ = form.c.tolist()
+    lp.col_lower_ = [0.0] * num_cols
+    lp.col_upper_ = form.upper.tolist()
+    lp.row_lower_ = [-hs.kHighsInf] * form.num_ub + form.b[form.num_ub:].tolist()
+    lp.row_upper_ = form.b.tolist()
+
+    options = hs.HighsOptions()
+    options.presolve = "on"
+    options.solver = "simplex"
+    options.simplex_strategy = 1  # dual simplex
+    options.simplex_iteration_limit = options.ipm_iteration_limit = max_iter
+    options.output_flag = options.log_to_console = False
+    highs = hs._Highs()
+    highs.passOptions(options)
+    if highs.passModel(lp) == hs.HighsStatus.kError:
+        status = hs.HighsModelStatus.kModelError
+    else:
+        highs.run()
+        status = highs.getModelStatus()
+    name = _HIGHS_STATUS.get(status.name)
+    message = highs.modelStatusToString(status)
+    if name != "optimal":
+        return _HighsRun(name, message)
+    solution = highs.getSolution()
+    col_dual = np.array(solution.col_dual)
+    basis = np.array(list(map(int, highs.getBasis().col_status)))
+    return _HighsRun(name, message, np.array(solution.col_value), np.array(solution.row_dual),
+                     np.where(basis == int(hs.HighsBasisStatus.kLower), col_dual, 0.0),
+                     np.where(basis == int(hs.HighsBasisStatus.kUpper), col_dual, 0.0))
+
+
+def _check_certificate(form: _MinForm, run: _HighsRun) -> None:
     """Verifies the dual certificate of a minimization optimum of ``form``.
 
     The duals are HiGHS's marginals (the sensitivity of the optimum to each
-    right-hand side or bound): ``y_ub <= 0`` and ``y_up <= 0``, ``y_low >= 0``,
-    and the reduced costs ``c - a_ub' y_ub - a_eq' y_eq`` must equal the bound
-    duals ``y_up + y_low``.  With those, a zero duality gap
-    ``c.x - (b_ub.y_ub + b_eq.y_eq + upper.y_up)`` proves ``x`` optimal.
+    right-hand side or bound): ``y <= 0`` on the inequality rows,
+    ``y_up <= 0``, ``y_low >= 0``, and the reduced costs ``c - a' y`` must
+    equal the bound duals ``y_up + y_low``.  With those, a zero duality gap
+    ``c.x - (b.y + upper.y_up)`` proves ``x`` optimal.
     """
-    c = form.c
+    c, y, y_up, y_low = form.c, run.y, run.y_up, run.y_low
     tol = CERT_TOL * max(1.0, float(np.abs(c).max(initial=0.0)))
     finite = np.isfinite(form.upper)
-    sign = max(float(y_ub.max(initial=0.0)), float(y_up.max(initial=0.0)),
+    sign = max(float(y[:form.num_ub].max(initial=0.0)), float(y_up.max(initial=0.0)),
                float(-y_low.min(initial=0.0)), float(np.abs(y_up[~finite]).max(initial=0.0)))
     if sign > tol:
         raise ArithmeticError(f"HiGHS returned duals of the wrong sign (by {sign:.3g})")
-    reduced = c - form.a_ub.T @ y_ub - form.a_eq.T @ y_eq - y_up - y_low
+    reduced = (c - np.bincount(form.col, weights=form.val * y[form.row], minlength=c.size)
+               - y_up - y_low)
     stationarity = float(np.abs(reduced).max(initial=0.0))
     if stationarity > tol:
         raise ArithmeticError(f"HiGHS reduced costs are not stationary (by {stationarity:.3g})")
-    primal = float(c @ x)
-    dual = float(form.b_ub @ y_ub + form.b_eq @ y_eq + form.upper[finite] @ y_up[finite])
+    primal = float(c @ run.x)
+    dual = float(form.b @ y + form.upper[finite] @ y_up[finite])
     gap = abs(primal - dual)
     if gap > CERT_TOL * max(1.0, abs(primal)):
         raise ArithmeticError(f"HiGHS optimum has duality gap {gap:.3g}")

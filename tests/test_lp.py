@@ -5,8 +5,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.optimize
+from scipy import sparse
 from scipy.optimize import linprog
+from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
+from scipy.optimize._highspy._core import HighsModelStatus
 
 import codisplay as cd
 from codisplay import lp as lpm
@@ -16,28 +18,52 @@ from conftest import make_example, make_frac, random_suite
 from dense_simplex import solve_dense
 
 
-def scipy_solve(model: lpm.LpModel) -> float:
-    """Independent reference optimum via HiGHS."""
+# linprog's status codes; 4 (numerical difficulties) is a failure
+LINPROG_STATUS = {0: "optimal", 1: "iteration_limit", 2: "infeasible", 3: "unbounded"}
+
+
+def linprog_result(model: lpm.LpModel, max_iter: int = 1_000_000):
+    """The model through ``scipy.optimize.linprog(method="highs-ds")``, built
+    from ``model.rows`` as sparse matrices (``>=`` rows negated, repeated
+    columns summed)."""
     n = model.num_vars
-    a_ub, b_ub, a_eq, b_eq = [], [], [], []
+    blocks = {"ub": ([], [], [], []), "eq": ([], [], [], [])}
     for cols, coefs, sense, rhs in model.rows:
-        row = np.zeros(n)
-        row[cols] = coefs
-        if sense == "<=":
-            a_ub.append(row); b_ub.append(rhs)
-        elif sense == ">=":
-            a_ub.append(-row); b_ub.append(-rhs)
-        else:
-            a_eq.append(row); b_eq.append(rhs)
-    bounds = [(0, ub) for ub in model.upper]
-    res = linprog(
-        -np.asarray(model.obj),
-        A_ub=np.array(a_ub) if a_ub else None, b_ub=b_ub or None,
-        A_eq=np.array(a_eq) if a_eq else None, b_eq=b_eq or None,
-        bounds=bounds, method="highs",
-    )
-    assert res.status == 0, res.message
-    return -res.fun
+        rows, cs, vals, b = blocks["eq" if sense == "=" else "ub"]
+        sign = -1.0 if sense == ">=" else 1.0
+        rows.extend([len(b)] * len(cols)); cs.extend(cols); vals.extend(sign * coefs)
+        b.append(sign * rhs)
+
+    def matrix(rows, cols, vals, b):
+        if not b:
+            return None, None
+        return sparse.csr_array((vals, (rows, cols)), shape=(len(b), n)), np.array(b)
+
+    a_ub, b_ub = matrix(*blocks["ub"])
+    a_eq, b_eq = matrix(*blocks["eq"])
+    upper = [np.inf if u is None else u for u in model.upper]
+    c = np.asarray(model.obj, dtype=float)
+    return linprog(-c if model.maximize else c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                   bounds=np.column_stack([np.zeros(n), upper]), method="highs-ds",
+                   options={"maxiter": max_iter})
+
+
+def linprog_solve(model: lpm.LpModel, max_iter: int = 1_000_000) -> lpm.LpResult:
+    """The reference for ``solve_lp``, with linprog's statuses mapped."""
+    res = linprog_result(model, max_iter)
+    if res.status not in LINPROG_STATUS:
+        raise ArithmeticError(res.message)
+    status, names = LINPROG_STATUS[res.status], tuple(model.var_names)
+    if status != "optimal":
+        return lpm.LpResult(0.0, np.zeros(model.num_vars), status, names)
+    return lpm.LpResult(float(np.asarray(model.obj, dtype=float) @ res.x), res.x, status, names)
+
+
+def assert_same_result(mine: lpm.LpResult, ref: lpm.LpResult) -> None:
+    assert mine.status == ref.status
+    assert mine.objective == ref.objective
+    assert mine.names == ref.names
+    assert np.array_equal(mine.x, ref.x)
 
 
 def parse_lp_text(text: str):
@@ -132,14 +158,13 @@ class TestSolver:
                 mdl = build(inst)
                 mine = lpm.solve_lp(mdl)
                 assert mine.status == "optimal"
-                assert mine.objective == pytest.approx(scipy_solve(mdl), abs=1e-6)
+                assert_same_result(mine, linprog_solve(mdl))
 
     def test_matches_reference_solver_on_st_models(self):
         for seed in range(3):
             inst = cd.gen_random(4, 5, 2, edge_prob=0.7, seed=seed, d_tel=0.4, m_cap=2)
             mdl = lpm.build_st_lp(inst)
-            mine = lpm.solve_lp(mdl)
-            assert mine.objective == pytest.approx(scipy_solve(mdl), abs=1e-6)
+            assert_same_result(lpm.solve_lp(mdl), linprog_solve(mdl))
 
     def test_optimal_value_equality_refeasible(self, example):
         # pinning the objective to its optimum keeps the model solvable
@@ -220,27 +245,31 @@ class TestCertificate:
     status outside the four known ones must raise."""
 
     @staticmethod
-    def shift_bound_duals(res):
+    def shift_bound_duals(run):
         # stationary, right signs, but upper.y_up moves the dual objective
-        res.upper.marginals[0] -= 1.0
-        res.lower.marginals[0] += 1.0
+        run.y_up[0] -= 1.0
+        run.y_low[0] += 1.0
+        return run
 
     @staticmethod
-    def flip_duals(res):
-        res.ineqlin.marginals[:] = 1.0
+    def flip_duals(run):
+        run.y[:] = 1.0
+        return run
 
     @staticmethod
-    def halve_duals(res):
-        for part in (res.ineqlin, res.eqlin, res.upper, res.lower):
-            part.marginals[:] *= 0.5
+    def halve_duals(run):
+        for part in (run.y, run.y_up, run.y_low):
+            part *= 0.5
+        return run
 
     @staticmethod
-    def numerical_failure(res):
-        res.status, res.message = 4, "numerical difficulties"
+    def numerical_failure(run):
+        return run._replace(status=None, message="numerical difficulties")
 
     @staticmethod
-    def perturb_primal(res):
-        res.x[0] += 0.5
+    def perturb_primal(run):
+        run.x[0] += 0.5
+        return run
 
     @pytest.mark.parametrize("tamper, message", [
         ("shift_bound_duals", "duality gap"),
@@ -250,18 +279,119 @@ class TestCertificate:
         ("perturb_primal", "infeasible point"),
     ])
     def test_tampered_result_rejected(self, example, monkeypatch, tamper, message):
-        real = scipy.optimize.linprog
+        real = lpm._run_highs
 
         def tampered(*args, **kwargs):
-            res = real(*args, **kwargs)
-            getattr(self, tamper)(res)
-            return res
+            return getattr(self, tamper)(real(*args, **kwargs))
 
         model = lpm.build_simplified_lp(example)
         assert lpm.solve_lp(model).status == "optimal"
-        monkeypatch.setattr(scipy.optimize, "linprog", tampered)
+        monkeypatch.setattr(lpm, "_run_highs", tampered)
         with pytest.raises(ArithmeticError, match=message):
             lpm.solve_lp(model)
+
+
+# (n, m, k, edge probability, seed) from the smallest test shape up to the
+# capped (40, 10, 3) of the teleport solve in CI
+REFERENCE_LADDER = [(4, 5, 2, 0.7, 0), (6, 4, 2, 0.6, 1), (10, 8, 3, 0.4, 2),
+                    (15, 10, 3, 0.3, 3), (40, 10, 3, 0.1, 4)]
+
+
+def reference_models():
+    """(label, model) of the compact, capped compact, full and teleportation
+    models on the ladder; the per-slot models stop at (15, 10, 3)."""
+    for n, m, k, p, seed in REFERENCE_LADDER:
+        inst = cd.gen_random(n, m, k, edge_prob=p, seed=seed, d_tel=0.3, m_cap=-(-n // m))
+        plain = replace(inst, st=None)
+        yield f"compact {n},{m},{k}", lpm.build_simplified_lp(plain)
+        yield f"capped {n},{m},{k}", lpm.build_simplified_lp(plain, inst.st.M)
+        if n <= 15:
+            yield f"full {n},{m},{k}", lpm.build_full_lp(plain)
+            yield f"st {n},{m},{k}", lpm.build_st_lp(inst)
+
+
+class TestLinprogReference:
+    """``solve_lp`` fills HiGHS's model itself; linprog's "highs-ds" path,
+    given the same rows, must return the same point, objective and status."""
+
+    @pytest.mark.parametrize("model", [pytest.param(model, id=label)
+                                       for label, model in reference_models()])
+    def test_same_optimum_to_the_bit(self, model):
+        assert_same_result(lpm.solve_lp(model), linprog_solve(model))
+
+    @pytest.mark.parametrize("model", [pytest.param(model, id=label)
+                                       for label, model in reference_models()
+                                       if label.endswith("10,8,3")])
+    def test_same_duals_to_the_bit(self, model):
+        # the row duals and the column duals split by basis status, as
+        # linprog's marginals
+        run = lpm._run_highs(lpm._min_form(model, lpm._flat_rows(model)), 1_000_000)
+        res = linprog_result(model)
+        assert np.array_equal(run.y, np.concatenate([res.ineqlin.marginals, res.eqlin.marginals]))
+        assert np.array_equal(run.y_low, res.lower.marginals)
+        assert np.array_equal(run.y_up, res.upper.marginals)
+        assert (run.y_up != 0).any() or (run.y_low != 0).any()
+
+    def test_same_statuses_on_toys(self, example):
+        for expected, model, max_iter in toy_models(example):
+            mine = lpm.solve_lp(model, max_iter=max_iter)
+            assert mine.status == expected
+            assert_same_result(mine, linprog_solve(model, max_iter))
+
+    def test_status_table_is_linprogs(self):
+        # every HiGHS model status maps as linprog maps it; linprog's code 4
+        # (and any status it does not know) is a failure
+        for status in HighsModelStatus.__members__.values():
+            code, _ = _highs_to_scipy_status_message(status, "")
+            assert lpm._HIGHS_STATUS.get(status.name) == LINPROG_STATUS.get(code), status
+
+
+class TestEdgeModels:
+    """Row sets that linprog received as ``None`` blocks, and a row that names
+    a column twice."""
+
+    def test_no_rows(self):
+        mdl = lpm.LpModel()
+        mdl.add_vars("x", (3,), obj=[1.0, -1.0, 2.0], upper=1.0)
+        res = lpm.solve_lp(mdl)
+        assert res.status == "optimal" and res.objective == 3.0
+        assert res.x.tolist() == [1.0, 0.0, 1.0]
+        assert_same_result(res, linprog_solve(mdl))
+
+    def test_only_equality_rows(self):
+        mdl = lpm.LpModel()
+        mdl.add_vars("x", (3,), obj=[1.0, 2.0, 0.5])
+        mdl.add_rows([[0, 1], [1, 2]], 1.0, "=", [1.0, 1.0])
+        res = lpm.solve_lp(mdl)
+        assert res.status == "optimal" and res.objective == pytest.approx(2.0, abs=1e-9)
+        assert_same_result(res, linprog_solve(mdl))
+
+    def test_only_greater_equal_rows(self):
+        mdl = lpm.LpModel(maximize=False)
+        mdl.add_vars("x", (2,), obj=[1.0, 2.0], upper=1.0)
+        mdl.add_rows([0, 1], 1.0, ">=", 1.5)
+        res = lpm.solve_lp(mdl)
+        assert res.status == "optimal" and res.objective == pytest.approx(2.0, abs=1e-9)
+        assert res.x == pytest.approx([1.0, 0.5], abs=1e-9)
+        assert_same_result(res, linprog_solve(mdl))
+
+    def test_repeated_column_sums_its_coefficients(self):
+        # 3 x0 + x1 under x0 + x0 + x1 <= 2: the summed row 2 x0 + x1 <= 2 has
+        # its optimum at x0 = 1 (3), where a kept single x0 would give 6
+        mdl = lpm.LpModel()
+        mdl.add_vars("x", (2,), obj=[3.0, 1.0])
+        mdl.add_rows([0, 0, 1], [1.0, 1.0, 1.0], "<=", 2.0)
+        res = lpm.solve_lp(mdl)
+        assert res.status == "optimal" and res.objective == pytest.approx(3.0, abs=1e-9)
+        assert res.x == pytest.approx([1.0, 0.0], abs=1e-9)
+        assert_same_result(res, linprog_solve(mdl))
+
+    def test_non_finite_coefficient_refused(self):
+        mdl = lpm.LpModel()
+        mdl.add_vars("x", (2,), obj=[1.0, np.nan])
+        mdl.add_rows([0, 1], 1.0, "<=", 1.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            lpm.solve_lp(mdl)
 
 
 class TestTransformation:

@@ -14,10 +14,7 @@ from .core import (
     MetricsReport,
     StParams,
     StructuralError,
-    SubgroupPartition,
     metrics,
-    partition_subgroups,
-    savg_utility,
     scale_preferences,
     st_feasibility,
     st_objective,
@@ -52,7 +49,6 @@ from .baselines import (
     group_topk,
     independent_rounding,
     per_topk,
-    st_prepartition,
     subgroup_static,
 )
 from .oracle import (

@@ -1,15 +1,14 @@
-"""Comparison algorithms: personalized and group top-k, static subgroups,
-independent rounding, and size-driven pre-partitioning."""
+"""Comparison algorithms: personalized and group top-k, static subgroups, and
+independent rounding."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
 
-from .core import Configuration, DomainError, Edge, Instance, seeded_rng
+from .core import Configuration, DomainError, Instance, seeded_rng
 from .lp import FractionalSolution
 
 
@@ -206,22 +205,3 @@ def independent_rounding(inst: Instance, frac: FractionalSolution,
     draws = rng.random((inst.n, inst.k, 1)) * total
     items = (draws <= cum).argmax(axis=2)
     return Configuration(assign=items)
-
-
-def st_prepartition(inst: Instance) -> list[tuple[Instance, np.ndarray]]:
-    """Split into ceil(n/M) balanced friendship-based sub-instances.
-
-    Each sub-instance keeps only internal edges; the second element of each
-    pair maps local user indices back to the original ones.
-    """
-    if inst.st is None:
-        raise DomainError("instance has no teleportation parameters")
-    parts = _friendship_partition(inst, math.ceil(inst.n / inst.st.M))  # <= m by Instance
-    out = []
-    for part in parts:
-        local = {u: i for i, u in enumerate(part)}
-        edges = [Edge(local[e.u], local[e.v], e.tau_uv, e.tau_vu)
-                 for e, inside in zip(inst.edges, inst.edges_within(part)) if inside]
-        sub = replace(inst, n=len(part), pref=inst.pref[part], edges=tuple(edges))
-        out.append((sub, np.asarray(part, dtype=np.int64)))
-    return out

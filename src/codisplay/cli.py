@@ -66,11 +66,6 @@ def _require_st(inst: Instance) -> None:
         raise DomainError("instance has no teleportation parameters")
 
 
-def _fractional_for(inst: Instance, path, st: bool) -> FractionalSolution:
-    """The factors in the file at ``path`` or, without one, the relaxation's."""
-    return _load_frac(path) if path else _relaxation(inst, st)[0]
-
-
 ALGOS = ("avg", "avgd", "per", "group", "sub-friend", "sub-pref", "indep", "oracle",
          "avg-st", "avgd-st")
 LP_ALGOS = frozenset({"avg", "avgd", "indep", "avg-st", "avgd-st"})  # round the factors
@@ -206,8 +201,10 @@ def cmd_solve(args) -> int:
     if args.repeats is not None and args.repeats < 1:
         raise DomainError(f"--repeats must be >= 1, got {args.repeats}")
     inst = core.instance_from_dict(core.load_json(args.infile))
-    frac = (_fractional_for(inst, args.frac, st=args.algo.endswith("-st"))
-            if args.algo in LP_ALGOS else None)
+    frac = None
+    if args.algo in LP_ALGOS:  # the factors in the --frac file or the relaxation's
+        frac = (_load_frac(args.frac) if args.frac
+                else _relaxation(inst, st=args.algo.endswith("-st"))[0])
     partition = _load_partition(args.partition) if args.partition else None
     opts = {flag: getattr(args, flag) for flag in ("sampler", "r", "repeats", "groups")
             if getattr(args, flag) is not None}
@@ -362,7 +359,7 @@ def cmd_export(args) -> int:
 def cmd_frac(args) -> int:
     """Solve the relaxation and write the per-slot factors to a file."""
     inst = core.instance_from_dict(core.load_json(args.infile))
-    frac = _fractional_for(inst, args.frac, st=args.model == "st")
+    frac = _relaxation(inst, st=args.model == "st")[0]
     core.dump_json({"x": frac.x.tolist()}, args.out)
     print(f"frac,{args.model},shape={frac.x.shape}")
     return 0
@@ -433,7 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     fr = sub.add_parser("frac", help="solve the relaxation and save the factors")
     fr.add_argument("--in", dest="infile", required=True)
     fr.add_argument("--model", choices=["simp", "st"], default="simp")
-    fr.add_argument("--frac", default=None)
     fr.add_argument("--out", required=True)
     fr.set_defaults(func=cmd_frac)
 

@@ -58,7 +58,8 @@ class StParams:
     def __post_init__(self):
         if not (0.0 <= self.d_tel < 1.0):
             raise DomainError(f"d_tel must lie in [0, 1), got {self.d_tel}")
-        if int(self.M) != self.M or self.M < 1:
+        # is_integer first: int() of inf or nan raises before any comparison
+        if not float(self.M).is_integer() or int(self.M) != self.M or self.M < 1:
             raise DomainError(f"subgroup size cap M must be an integer >= 1, got {self.M}")
         object.__setattr__(self, "M", int(self.M))
 
@@ -188,14 +189,6 @@ class Configuration:
         object.__setattr__(self, "assign", _frozen_array(self.assign, np.int64))
 
 
-@dataclass(frozen=True)
-class SubgroupPartition:
-    """Users grouped by the item they see at one fixed slot."""
-
-    slot: int
-    groups: tuple[tuple[int, tuple[int, ...]], ...]  # (item, users) per subgroup
-
-
 @dataclass
 class MetricsReport:
     """All evaluation metrics for one configuration on one instance."""
@@ -224,10 +217,6 @@ class MetricsReport:
         "intra_pct normalized_density codisplay_pct alone_pct regret_mean regret_max "
         "st_feasible st_violation_count"
     ).split()
-
-    def csv_row(self) -> list:
-        d = self.to_dict()
-        return [d[f] for f in self.CSV_FIELDS]
 
 
 # ---------------------------------------------------------------------------
@@ -319,23 +308,15 @@ def objective_value(inst: Instance, pref_sum: float, social: float,
 
 
 def _cell_utilities(inst: Instance, assign: np.ndarray) -> np.ndarray:
-    """(n, k) utility of each user for the item shown at each slot (see
-    `savg_utility`); each cell gains its friends' terms in edge order."""
+    """(n, k) utility of each user for the item shown at each slot: weighted
+    preference plus the social terms of every friend shown the same item at
+    the same slot, added to each cell in edge order."""
     util = (1.0 - inst.lam) * inst.pref[np.arange(inst.n)[:, None], assign]
     e, s = np.nonzero(assign[inst.eu] == assign[inst.ev])  # edge-major
     c = assign[inst.eu[e], s]
     np.add.at(util, (np.column_stack([inst.eu[e], inst.ev[e]]), s[:, None]),
               inst.lam * inst.tau[e, :, c])
     return util
-
-
-def savg_utility(inst: Instance, config: Configuration, u: int, c: int) -> float:
-    """Utility of user u for item c under config: weighted preference plus the
-    social terms of every friend seeing c at the same slot."""
-    slots = np.flatnonzero(config.assign[u] == c)
-    if slots.size == 0:
-        raise DomainError(f"item {c} is not displayed to user {u}")
-    return float(_cell_utilities(inst, config.assign)[u, slots[0]])
 
 
 def total_objective(inst: Instance, config: Configuration, mode: str = "canonical") -> float:
@@ -364,16 +345,6 @@ def st_objective(inst: Instance, config: Configuration, mode: str = "canonical")
     if validate(config, inst):
         raise DomainError("configuration is not feasible")
     return objective_value(inst, *objective_parts(inst, config.assign, inst.st.d_tel), mode)
-
-
-def partition_subgroups(config: Configuration, s: int) -> SubgroupPartition:
-    """Group users by the item they are shown at slot s."""
-    col = config.assign[:, s]
-    groups: dict[int, list[int]] = {}
-    for u, c in enumerate(col):
-        groups.setdefault(int(c), []).append(u)
-    ordered = tuple((c, tuple(groups[c])) for c in sorted(groups))
-    return SubgroupPartition(slot=s, groups=ordered)
 
 
 def optimistic_utility(inst: Instance) -> np.ndarray:
@@ -563,13 +534,3 @@ def dump_json(obj: dict, path) -> None:
 def load_json(path) -> dict:
     with open(path) as fh:
         return json.load(fh)
-
-
-def config_to_dict(config: Configuration) -> dict:
-    return {"assign": config.assign.tolist()}
-
-
-def config_from_dict(d: dict) -> Configuration:
-    if not isinstance(d, dict) or "assign" not in d:
-        raise StructuralError("a configuration needs the key 'assign'")
-    return Configuration(assign=array_field(d["assign"], np.int64, "assign"))

@@ -11,7 +11,8 @@ instances with lambda != 1/2 must be passed through
 Builders register whole blocks of variables (``LpModel.add_vars``) and address
 them by column index: each block is an index array, and the rows
 (``LpModel.add_rows``) are reshapes, transposes and stacks of those arrays.
-Variable names are made once per block, for export and ``LpResult.value``.
+Variable names are made once per block, for export and for the check that a
+result begins with the block an expansion reads.
 
 ``solve_lp`` fills HiGHS's model object column-wise from the rows, calls
 HiGHS's dual simplex directly (scipy's private ``_highspy._core``, with the
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -94,13 +94,6 @@ class LpResult:
     x: np.ndarray
     status: str  # optimal | infeasible | unbounded | iteration_limit
     names: tuple[str, ...] = ()
-
-    @cached_property
-    def _index(self) -> dict[str, int]:
-        return {name: j for j, name in enumerate(self.names)}
-
-    def value(self, name: str) -> float:
-        return float(self.x[self._index[name]])
 
 
 # HiGHS model statuses as linprog maps them (a model HiGHS cannot load counts

@@ -88,11 +88,8 @@ class RoundingState:
         self._xbar: Optional[np.ndarray] = None
         self._stale = True  # `_open` changed since `xbar` was read
 
-    def eligible(self, u: int, c: int, s: int) -> bool:
-        """True iff user u has slot s empty and has never been shown item c."""
-        return self.assign[u, s] < 0 and not self.held[u, c]
-
     def eligible_users(self, c: int, s: int) -> np.ndarray:
+        """The users with slot s empty who have never been shown item c."""
         return np.flatnonzero((self.assign[:, s] < 0) & ~self.held[:, c])
 
     def room(self, c: int, s: int) -> int:
@@ -694,14 +691,15 @@ def avg_st(inst: Instance, frac: FractionalSolution, rng_seed: int = 0,
 
 
 def best_of(inst: Instance, frac: FractionalSolution, seeds: Sequence[int],
-            sampler: str = "uniform", cap: Optional[int] = None) -> Configuration:
+            sampler: str = "uniform") -> Configuration:
     """Run the randomized solver once per seed and keep the output with the
     highest unit-sum objective (the first on ties)."""
     best_cfg, best_val = None, -np.inf
     for seed in seeds:
-        cfg = avg(inst, frac, rng_seed=seed, sampler=sampler, cap=cap)
+        cfg = avg(inst, frac, rng_seed=seed, sampler=sampler)
         val = total_objective(inst, cfg, "unit_sum")
         if val > best_val:
             best_cfg, best_val = cfg, val
-    assert best_cfg is not None
+    if best_cfg is None:
+        raise DomainError("best_of needs at least one seed")
     return best_cfg

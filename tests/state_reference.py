@@ -29,7 +29,7 @@ class ReferenceState(RoundingState):
         done = []
         try:
             for u in users:
-                if not self.eligible(u, c, s):
+                if self.assign[u, s] >= 0 or self.held[u, c]:
                     raise DomainError(f"user {u} is not eligible for item {c} at slot {s}")
                 self.assign[u, s] = c
                 self.held[u, c] = True

@@ -1,7 +1,6 @@
 """Baseline algorithm tests."""
 
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -161,13 +160,6 @@ class TestFriendshipPartitionReference:
             dissolved += bool(dissolves)
         assert dissolved >= 5  # the dissolve branch is reached, not just the merges
 
-    def test_st_prepartition(self):
-        for seed in range(40):
-            inst = cd.gen_random(6 + seed % 9, 6, 2, edge_prob=0.4, seed=300 + seed,
-                                 d_tel=0.3, m_cap=2 + seed % 3)
-            got = [users.tolist() for _, users in cd.st_prepartition(inst)]
-            assert got == friendship_partition(inst, math.ceil(inst.n / inst.st.M))
-
 
 def _preference_instance(rng, n, case):
     """n users whose preference rows are random, rounded to one decimal (tied
@@ -266,38 +258,6 @@ class TestIndependentRounding:
         frac = cd.FractionalSolution(np.full(shape, 1.0 / shape[1]))
         with pytest.raises(DomainError, match="shape does not match"):
             cd.independent_rounding(example, frac)
-
-
-class TestStPrepartition:
-    def test_loose_cap_single_subinstance(self):
-        inst = cd.gen_random(4, 5, 2, edge_prob=0.6, seed=81, d_tel=0.2, m_cap=4)
-        parts = cd.st_prepartition(inst)
-        assert len(parts) == 1
-        sub, users = parts[0]
-        assert sub.n == 4 and list(users) == [0, 1, 2, 3]
-
-    def test_cap_one_singletons(self):
-        inst = cd.gen_random(4, 5, 2, edge_prob=0.6, seed=82, d_tel=0.2, m_cap=1)
-        parts = cd.st_prepartition(inst)
-        assert [sub.n for sub, _ in parts] == [1, 1, 1, 1]
-
-    def test_per_topk_on_subinstances_respects_cap(self):
-        # feasibility of the personalized display holds when favorites rarely
-        # collide, i.e., with many more items than users (the reported regime);
-        # tiny item sets can exceed the cap by chance
-        for seed in range(20):
-            inst = cd.gen_random(6, 40, 2, edge_prob=0.7, seed=90 + seed,
-                                 d_tel=0.3, m_cap=2)
-            merged = np.empty((inst.n, inst.k), dtype=np.int64)
-            for sub, users in cd.st_prepartition(inst):
-                merged[users] = cd.per_topk(sub).assign
-            cfg = cd.Configuration(assign=merged)
-            ok, viol = cd.st_feasibility(inst, cfg)
-            assert ok and viol == 0
-
-    def test_requires_st(self, example):
-        with pytest.raises(DomainError):
-            cd.st_prepartition(example)
 
 
 class TestAgainstDeterministicSolver:

@@ -692,6 +692,13 @@ class TestFracCommand:
         assert (x == x[:, :, :1]).all()  # the same factors at every slot
         assert (x.sum(axis=0) <= 2 + 1e-9).all()
 
+    def test_takes_no_factor_file(self, fixture_files, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["frac", "--in", fixture_files["inst"], "--frac", fixture_files["frac"],
+                 "--out", str(tmp_path / "frac.json")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --frac" in capsys.readouterr().err
+
 
 class TestParserReuse:
     """In-process `main` calls share one parser and act as with a fresh one."""

@@ -72,6 +72,12 @@ class TestInstanceInvariants:
         with pytest.raises(DomainError):
             cd.StParams(d_tel=1.0, M=2)
 
+    @pytest.mark.parametrize("M", [2.5, math.inf, math.nan, 0])
+    def test_cap_not_a_positive_integer_rejected(self, M):
+        with pytest.raises(DomainError,
+                           match=f"subgroup size cap M must be an integer >= 1, got {M}$"):
+            cd.StParams(d_tel=0.5, M=M)
+
     def test_infeasible_cap_rejected(self):
         with pytest.raises(DomainError):
             cd.Instance(n=4, m=1, k=1, pref=np.zeros((4, 1)), edges=(),
@@ -184,36 +190,31 @@ def _validate_loop(config, inst):
 
 
 class TestSavgUtility:
+    """The utility of each user for the item at each slot, `_cell_utilities`."""
+
     def test_worked_value_lambda_04(self):
         # Alice sees the tripod at slot 2 together with Bob and Dave:
         # 0.6 * 0.8 + 0.4 * (0.2 + 0.2) = 0.64
         inst = make_example(lam=0.4)
-        cfg = cd.Configuration(assign=np.array([[4, 0, 1], [1, 0, 3], [4, 2, 1], [4, 0, 2]]))
-        assert cd.savg_utility(inst, cfg, 0, 0) == pytest.approx(0.64)
+        util = cd.core._cell_utilities(
+            inst, np.array([[4, 0, 1], [1, 0, 3], [4, 2, 1], [4, 0, 2]]))
+        assert util[0, 1] == pytest.approx(0.64)
         # and the last item at slot 1, shared with Charlie and Dave:
         # 0.6 * 1.0 + 0.4 * (0.3 + 0.2) = 0.8
-        assert cd.savg_utility(inst, cfg, 0, 4) == pytest.approx(0.8)
-
-    def test_item_not_displayed_raises(self, example):
-        cfg = cd.Configuration(assign=np.array([[4, 0, 1]] * 4))
-        with pytest.raises(DomainError):
-            cd.savg_utility(example, cfg, 0, 2)
+        assert util[0, 0] == pytest.approx(0.8)
 
     def test_friendless_user_gets_pure_preference(self):
         inst = cd.Instance(n=2, m=3, k=2, pref=np.array([[0.5, 0.2, 0.1], [0.1, 0.2, 0.3]]),
                            edges=(), lam=0.3)
-        cfg = cd.Configuration(assign=np.array([[0, 1], [2, 1]]))
-        assert cd.savg_utility(inst, cfg, 0, 0) == pytest.approx(0.7 * 0.5)
+        util = cd.core._cell_utilities(inst, np.array([[0, 1], [2, 1]]))
+        assert util[0, 0] == pytest.approx(0.7 * 0.5)
 
     def test_total_is_sum_of_per_user_per_item_terms(self, example):
         # independent recomputation of the objective from its definition
         rng = np.random.Generator(np.random.Philox(5))
         for _ in range(10):
             cfg = random_config(example, rng)
-            total = sum(
-                cd.savg_utility(example, cfg, u, int(c))
-                for u in range(example.n) for c in cfg.assign[u]
-            )
+            total = cd.core._cell_utilities(example, cfg.assign).sum()
             assert cd.total_objective(example, cfg, "canonical") == pytest.approx(total)
 
 
@@ -329,33 +330,6 @@ class TestStObjective:
             assert objective_parts(inst, cfg.assign)[1] <= social
 
 
-class TestPartition:
-    def test_single_group(self, example):
-        cfg = cd.Configuration(assign=np.array([[4, 0, 1]] * 4))
-        part = cd.partition_subgroups(cfg, 0)
-        assert part.groups == ((4, (0, 1, 2, 3)),)
-
-    def test_all_singletons(self, example):
-        cfg = cd.Configuration(assign=np.array([[0, 1, 2], [1, 2, 3], [2, 3, 4], [3, 4, 0]]))
-        part = cd.partition_subgroups(cfg, 0)
-        assert all(len(users) == 1 for _, users in part.groups)
-
-    def test_deterministic_table_slot_one_full_group(self, example):
-        part = cd.partition_subgroups(cd.Configuration(assign=DETERMINISTIC_TABLE), 0)
-        assert part.groups == ((4, (0, 1, 2, 3)),)
-
-    def test_partition_properties(self):
-        rng = np.random.Generator(np.random.Philox(9))
-        for inst in random_suite(5, base_seed=60):
-            cfg = random_config(inst, rng)
-            for s in range(inst.k):
-                part = cd.partition_subgroups(cfg, s)
-                users = [u for _, grp in part.groups for u in grp]
-                assert sorted(users) == list(range(inst.n))  # disjoint cover
-                for item, grp in part.groups:
-                    assert all(cfg.assign[u, s] == item for u in grp)
-
-
 class TestMetrics:
     def test_full_group_anchors(self, example):
         cfg = cd.Configuration(assign=np.array([[4, 0, 1]] * 4))
@@ -431,8 +405,11 @@ class TestMetrics:
         assert (rep.st_feasible is None) is not teleport
 
     def test_csv_row_matches_fields(self, example):
-        rep = cd.metrics(example, cd.Configuration(assign=RANDOMIZED_TABLE))
-        assert len(rep.csv_row()) == len(cd.MetricsReport.CSV_FIELDS)
+        # every CSV column names a report key: `compare` fills a missing key
+        # with a blank cell, so a renamed field would blank its column
+        for inst in (example, cd.gen_random(4, 5, 3, edge_prob=0.5, seed=1, d_tel=0.1, m_cap=2)):
+            rep = cd.metrics(inst, cd.Configuration(assign=RANDOMIZED_TABLE)).to_dict()
+            assert set(cd.MetricsReport.CSV_FIELDS) <= rep.keys()
 
 
 class TestStFeasibility:
@@ -470,11 +447,11 @@ class TestJsonRoundTrip:
         )
 
     def test_config_round_trip(self, tmp_path):
-        cfg = cd.Configuration(assign=RANDOMIZED_TABLE)
+        # the `assign` table as `solve` writes it and `eval` reads it
         path = tmp_path / "cfg.json"
-        cd.core.dump_json(cd.core.config_to_dict(cfg), path)
-        back = cd.core.config_from_dict(cd.core.load_json(path))
-        assert np.array_equal(back.assign, cfg.assign)
+        cd.core.dump_json({"assign": RANDOMIZED_TABLE.tolist()}, path)
+        back = cd.core.array_field(cd.core.load_json(path)["assign"], np.int64, "assign")
+        assert back.dtype == np.int64 and np.array_equal(back, RANDOMIZED_TABLE)
 
     @pytest.mark.parametrize("d", [{"n": 2}, [1, 2], {**cd.core.instance_to_dict(make_example()),
                                                        "edges": [{"u": 0, "v": 1}]}])
@@ -490,11 +467,7 @@ class TestJsonRoundTrip:
     @pytest.mark.parametrize("entry", [0.9, 1.0, True, "1"])
     def test_config_entries_strict(self, entry):
         with pytest.raises(StructuralError, match="must be an integer"):
-            cd.core.config_from_dict({"assign": [[4, entry, 2]] + [[0, 1, 2]] * 3})
-
-    def test_config_missing_assign_structural(self):
-        with pytest.raises(StructuralError):
-            cd.core.config_from_dict({"assignment": [[0]]})
+            cd.core.array_field([[4, entry, 2]] + [[0, 1, 2]] * 3, np.int64, "assign")
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +560,8 @@ def ref_metrics(inst, cfg):
         adj = {(min(e.u, e.v), max(e.u, e.v)) for e in inst.edges}
         densities = []
         for s in range(k):
-            for _, members in cd.partition_subgroups(cfg, s).groups:
+            for c in np.unique(a[:, s]):
+                members = np.flatnonzero(a[:, s] == c)
                 sz = len(members)
                 internal = sum(1 for i in members for j in members if i < j and (i, j) in adj)
                 densities.append(internal / (sz * (sz - 1) / 2) if sz >= 2 else 0.0)
@@ -623,9 +597,10 @@ class TestArraysMatchEdgeLoops:
         inst = REFERENCE_INSTANCES[name]()
         assert np.array_equal(cd.core.optimistic_utility(inst), ref_optimistic(inst))
         for cfg in _reference_configs(inst):
+            util = cd.core._cell_utilities(inst, cfg.assign)
             for u in range(inst.n):
-                for s, c in enumerate(cfg.assign[u]):
-                    assert cd.savg_utility(inst, cfg, u, int(c)) == ref_savg(inst, cfg.assign, u, s)
+                for s in range(inst.k):
+                    assert util[u, s] == ref_savg(inst, cfg.assign, u, s)
 
     def test_metrics(self, name):
         inst = REFERENCE_INSTANCES[name]()
@@ -665,8 +640,10 @@ class TestOptimisticCache:
         low = dataclasses.replace(inst, lam=0.3)
         for parent in (inst, low):
             parent.optimistic_ranking  # build the parents' caches first
-        others = [dataclasses.replace(inst, pref=inst.pref[:, ::-1]), cd.scale_preferences(low),
-                  *(sub for sub, _ in cd.st_prepartition(inst))]
+        # the first six users, with the friendships among them
+        sub = dataclasses.replace(inst, n=6, pref=inst.pref[:6],
+                                  edges=tuple(e for e in inst.edges if max(e.u, e.v) < 6))
+        others = [dataclasses.replace(inst, pref=inst.pref[:, ::-1]), cd.scale_preferences(low), sub]
         for other in others:
             self.assert_fresh_and_exact(other)
         clone = pickle.loads(pickle.dumps(inst))  # as `compare --jobs 2` sends it

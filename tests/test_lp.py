@@ -66,6 +66,11 @@ def assert_same_result(mine: lpm.LpResult, ref: lpm.LpResult) -> None:
     assert np.array_equal(mine.x, ref.x)
 
 
+def value(res: lpm.LpResult, name: str) -> float:
+    """The optimum's value of the variable called ``name``."""
+    return float(res.x[res.names.index(name)])
+
+
 def parse_lp_text(text: str):
     """Line-oriented reader of the exported format: returns
 
@@ -118,7 +123,7 @@ class TestBuilders:
     def test_k_equals_m_saturates_compact_vars(self):
         inst = cd.Instance(n=2, m=3, k=3, pref=np.ones((2, 3)), edges=(), lam=0.5)
         res = lpm.solve_lp(lpm.build_simplified_lp(inst))
-        assert all(res.value(f"xu_{u}_{c}") == pytest.approx(1.0)
+        assert all(value(res, f"xu_{u}_{c}") == pytest.approx(1.0)
                    for u in range(2) for c in range(3))
 
     def test_st_requires_params(self, example):
@@ -225,11 +230,11 @@ class TestBackends:
     def test_block_reads_match_name_lookup(self, example):
         n, m, k = example.n, example.m, example.k
         res = lpm.solve_lp(lpm.build_simplified_lp(example))
-        want = [[[res.value(f"xu_{u}_{c}") / k] * k for c in range(m)] for u in range(n)]
+        want = [[[value(res, f"xu_{u}_{c}") / k] * k for c in range(m)] for u in range(n)]
         assert np.array_equal(lpm.expand_solution(res, example).x,
                               cd.FractionalSolution(np.clip(want, 0.0, 1.0)).x)
         res = lpm.solve_lp(lpm.build_full_lp(example))
-        want = [[[res.value(f"x_{u}_{c}_{s}") for s in range(k)] for c in range(m)]
+        want = [[[value(res, f"x_{u}_{c}_{s}") for s in range(k)] for c in range(m)]
                 for u in range(n)]
         assert np.array_equal(lpm.frac_from_full_result(res, example).x,
                               cd.FractionalSolution(np.clip(want, 0.0, 1.0)).x)

@@ -91,8 +91,7 @@ class TestBruteForceSt:
         inst = cd.gen_random(3, 4, 1, edge_prob=1.0, seed=44, d_tel=0.5, m_cap=1)
         cfg, _ = cd.brute_force_st(inst)
         for s in range(inst.k):
-            groups = cd.partition_subgroups(cfg, s).groups
-            assert all(len(g) == 1 for _, g in groups)
+            assert (np.bincount(cfg.assign[:, s]) <= 1).all()
 
     def test_requires_st(self, example):
         with pytest.raises(DomainError):

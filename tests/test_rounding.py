@@ -55,20 +55,21 @@ class TestEligibility:
     def test_fresh_state_all_eligible(self, example, example_frac):
         state = RoundingState(example, example_frac)
         assert all(
-            state.eligible(u, c, s)
-            for u in range(4) for c in range(5) for s in range(3)
+            state.eligible_users(c, s).tolist() == [0, 1, 2, 3]
+            for c in range(5) for s in range(3)
         )
 
     def test_item_blocks_other_slots(self, example, example_frac):
         state = RoundingState(example, example_frac)
         state.assign_users([0], 2, 1)
-        assert not state.eligible(0, 2, 0)
-        assert not state.eligible(0, 2, 2)
+        assert state.eligible_users(2, 0).tolist() == [1, 2, 3]
+        assert state.eligible_users(2, 2).tolist() == [1, 2, 3]
+        assert state.eligible_users(3, 0).tolist() == [0, 1, 2, 3]
 
     def test_slot_blocks_other_items(self, example, example_frac):
         state = RoundingState(example, example_frac)
         state.assign_users([0], 2, 1)
-        assert all(not state.eligible(0, c, 1) for c in range(5))
+        assert all(state.eligible_users(c, 1).tolist() == [1, 2, 3] for c in range(5))
 
     def test_filled_cell_never_rewritten(self, example, example_frac):
         state = RoundingState(example, example_frac)
@@ -111,7 +112,7 @@ class TestCsfStep:
         xb = state.xbar()
         for c in range(5):
             for s in range(3):
-                elig = [u for u in range(4) if state.eligible(u, c, s)]
+                elig = state.eligible_users(c, s)
                 want = max((state.x[u, c, s] for u in elig), default=0.0)
                 assert xb[c, s] == pytest.approx(want)
 
@@ -221,7 +222,7 @@ class TestAvg:
         for seed in range(10):
             cfg = cd.avg(inst, frac, rng_seed=seed)
             for s in range(inst.k):
-                assert len(cd.partition_subgroups(cfg, s).groups) == 1
+                assert len(np.unique(cfg.assign[:, s])) == 1
 
     def test_marginal_probability_bounds(self, example, example_frac):
         # display marginals dominate x/2 and co-display marginals dominate
@@ -274,6 +275,11 @@ class TestAvg:
         best = cd.total_objective(
             example, cd.best_of(example, example_frac, seeds=range(8)), "unit_sum")
         assert best >= single - 1e-12
+
+    @pytest.mark.parametrize("seeds", [[], range(0), iter(())])
+    def test_best_of_without_seeds_rejected(self, example, example_frac, seeds):
+        with pytest.raises(DomainError, match="best_of needs at least one seed"):
+            cd.best_of(example, example_frac, seeds=seeds)
 
 
 def generator_position(rng):
@@ -440,9 +446,8 @@ class TestBlockedAvg:
         def runs():
             out = []
             for inst, frac, caps in ladder_cases():
+                out.append(outcome(lambda st: cd.best_of(inst, frac, seeds=range(3))))
                 for cap in caps:
-                    out.append(outcome(lambda st: cd.best_of(inst, frac, seeds=range(3),
-                                                             cap=cap)))
                     if cap is not None:
                         tele = dataclasses.replace(inst, st=cd.StParams(0.3, cap))
                         out += [outcome(lambda st, seed=seed: cd.avg_st(tele, frac, rng_seed=seed))
@@ -535,8 +540,7 @@ class TestAvgd:
             cfg = cd.avgd(inst, frac, r=r)
             per_slot = []
             for s in range(inst.k):
-                groups = cd.partition_subgroups(cfg, s).groups
-                per_slot.append(inst.n / len(groups))
+                per_slot.append(inst.n / len(np.unique(cfg.assign[:, s])))
             sizes.append(np.mean(per_slot))
         assert sizes[0] == pytest.approx(inst.n)  # every item universally liked
         assert all(a >= b - 1e-9 for a, b in zip(sizes, sizes[1:]))
@@ -1343,8 +1347,7 @@ class TestSizeCappedRounding:
     @pytest.mark.parametrize("solve", [
         lambda inst, frac, cap: cd.avg(inst, frac, rng_seed=0, cap=cap),
         lambda inst, frac, cap: cd.avgd(inst, frac, cap=cap),
-        lambda inst, frac, cap: cd.best_of(inst, frac, seeds=range(2), cap=cap),
-    ], ids=["avg", "avgd", "best_of"])
+    ], ids=["avg", "avgd"])
     def test_invalid_cap_rejected(self, example, example_frac, solve, cap):
         with pytest.raises(DomainError,
                            match=f"rounding size cap must be an integer >= 1, got {cap}$"):
@@ -1423,7 +1426,7 @@ class TestSizeCappedRounding:
         ok, viol = cd.st_feasibility(inst, cfg)
         assert ok and viol == 0
         for s in range(inst.k):
-            assert all(len(g) == 1 for _, g in cd.partition_subgroups(cfg, s).groups)
+            assert (np.bincount(cfg.assign[:, s]) <= 1).all()
 
     def test_deterministic_variant_feasible(self):
         for seed in range(4):

@@ -10,21 +10,22 @@ instances with lambda != 1/2 must be passed through
 
 Builders register whole blocks of variables (``LpModel.add_vars``) and address
 them by column index: each block is an index array, and the rows
-(``LpModel.add_rows``) are reshapes, transposes and stacks of those arrays.
-Variable names are made once per block, for export and for the check that a
-result begins with the block an expansion reads.
+(``LpModel.add_rows``) are reshapes, transposes and stacks of those arrays,
+stored a block at a time.  Variable names are made once per block, for export
+and for the check that a result begins with the block an expansion reads.
 
-``solve_lp`` fills HiGHS's model object column-wise from the rows, calls
+``solve_lp`` fills HiGHS's model object column-wise from the row blocks, calls
 HiGHS's dual simplex directly (scipy's private ``_highspy._core``, with the
-options of ``linprog(method="highs-ds")``, whose results it matches to the
-bit) and checks the primal residual and dual certificate of every optimum
-it returns.
+options of ``linprog(method="highs-ds")`` but presolve off, whose results and
+marginals it matches to the bit) and checks the primal residual and dual
+certificate of every optimum it returns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -39,15 +40,15 @@ CERT_TOL = 1e-6  # duality gap, dual sign and stationarity tolerance (relative)
 class LpModel:
     """A linear (or, for export, binary) program in row form, maximization.
 
-    Variables are registered in blocks and addressed by column index; every
-    row is a ``(cols, coefs, sense, rhs)`` tuple.
+    Variables are registered in blocks and addressed by column index; rows
+    are stored in blocks of ``(cols (R, L), coefs (R, L), sense, rhs (R,))``.
     """
 
     maximize: bool = True
     var_names: list[str] = field(default_factory=list)
     obj: list[float] = field(default_factory=list)
     upper: list[Optional[float]] = field(default_factory=list)
-    rows: list[tuple[np.ndarray, np.ndarray, str, float]] = field(default_factory=list)
+    blocks: list[tuple[np.ndarray, np.ndarray, str, np.ndarray]] = field(default_factory=list)
 
     def add_vars(self, name: str, shape: tuple[int, ...] = (), obj=0.0,
                  upper: Optional[float] = None) -> np.ndarray:
@@ -76,8 +77,15 @@ class LpModel:
         count = math.prod(lead)
         coefs = np.broadcast_to(np.asarray(coefs, dtype=float), cols.shape)
         rhs = np.broadcast_to(np.asarray(rhs, dtype=float), lead)
-        self.rows.extend(zip(cols.reshape(count, width), coefs.reshape(count, width),
-                             [sense] * count, rhs.ravel().tolist()))
+        self.blocks.append((cols.reshape(count, width), coefs.reshape(count, width), sense,
+                            rhs.reshape(count)))
+        self.__dict__.pop("rows", None)
+
+    @cached_property
+    def rows(self) -> tuple[tuple[np.ndarray, np.ndarray, str, float], ...]:
+        """A read-only view of ``blocks`` as one ``(cols, coefs, sense, rhs)`` per row."""
+        return tuple(row for c, v, sense, b in self.blocks
+                     for row in zip(c, v, [sense] * b.size, b.tolist()))
 
     @property
     def num_vars(self) -> int:
@@ -85,7 +93,7 @@ class LpModel:
 
     @property
     def num_rows(self) -> int:
-        return len(self.rows)
+        return sum(block[3].size for block in self.blocks)
 
 
 @dataclass
@@ -104,7 +112,7 @@ _HIGHS_STATUS = {"kOptimal": "optimal", "kTimeLimit": "iteration_limit",
 
 
 class _FlatRows(NamedTuple):
-    """``model.rows`` as coordinate arrays, and the upper bounds as an array."""
+    """``model.blocks`` as coordinate arrays, and the upper bounds as an array."""
 
     row_of: np.ndarray  # row of each stored coefficient
     cols: np.ndarray
@@ -115,14 +123,15 @@ class _FlatRows(NamedTuple):
 
 
 def _flat_rows(model: LpModel) -> _FlatRows:
-    rows = model.rows
-    lengths = np.array([r[0].size for r in rows], dtype=np.int64)
+    empty = (np.zeros((0, 0), dtype=np.int64), np.zeros((0, 0)), "=", np.zeros(0))
+    cols, coefs, senses, rhs = zip(*(model.blocks or [empty]))
+    heights = [b.size for b in rhs]
     return _FlatRows(
-        np.repeat(np.arange(len(rows)), lengths),
-        np.concatenate([r[0] for r in rows] or [np.zeros(0, dtype=np.int64)]),
-        np.concatenate([r[1] for r in rows] or [np.zeros(0)]),
-        np.array([r[2] for r in rows], dtype="<U2"),
-        np.array([r[3] for r in rows], dtype=float),
+        np.repeat(np.arange(sum(heights)), np.repeat([c.shape[1] for c in cols], heights)),
+        np.concatenate([c.ravel() for c in cols]),
+        np.concatenate([v.ravel() for v in coefs]),
+        np.repeat(np.array(senses, dtype="<U2"), heights),
+        np.concatenate(rhs),
         np.array([np.inf if u is None else u for u in model.upper], dtype=float),
     )
 
@@ -144,7 +153,7 @@ class _MinForm(NamedTuple):
 class _HighsRun(NamedTuple):
     """One HiGHS solve: the mapped status (None for a failure) and its
     message; at an optimum also the point, the row duals and the bound duals
-    (HiGHS's column duals split by basis status, as linprog's marginals)."""
+    (HiGHS's column duals split into lower and upper bound marginals)."""
 
     status: Optional[str]
     message: str
@@ -184,8 +193,8 @@ def _min_form(model: LpModel, flat: _FlatRows) -> _MinForm:
     summing any repeated pair."""
     c = np.asarray(model.obj, dtype=float)
     if not (np.isfinite(c).all() and np.isfinite(flat.vals).all()
-            and np.isfinite(flat.rhs).all()):
-        raise ValueError("LP model has a non-finite coefficient or right-hand side")
+            and np.isfinite(flat.rhs).all()) or np.isnan(flat.upper).any():
+        raise ValueError("LP model has a non-finite coefficient, right-hand side or bound")
     flip = np.where(flat.senses == ">=", -1.0, 1.0)
     is_eq = flat.senses == "="
     order = np.argsort(is_eq, kind="stable")
@@ -204,9 +213,11 @@ def _min_form(model: LpModel, flat: _FlatRows) -> _MinForm:
 
 
 def _run_highs(form: _MinForm, max_iter: int) -> _HighsRun:
-    """Hands ``form`` to HiGHS with the options of linprog's "highs-ds"
-    (presolve on, dual simplex, both iteration limits ``max_iter``, no
-    output) and reads its status, point and duals."""
+    """Hands ``form`` to HiGHS with the options of linprog's "highs-ds" but
+    presolve off (dual simplex, both iteration limits ``max_iter``, no output)
+    and reads its status, point and duals.  A column dual is an upper-bound
+    marginal where its column sits at a finite upper bound with a negative
+    dual, else a lower-bound one: linprog's split, without a basis read."""
     from scipy.optimize._highspy import _core as hs
 
     num_cols, num_rows = form.c.size, form.b.size
@@ -224,7 +235,7 @@ def _run_highs(form: _MinForm, max_iter: int) -> _HighsRun:
     lp.row_upper_ = form.b.tolist()
 
     options = hs.HighsOptions()
-    options.presolve = "on"
+    options.presolve = "off"
     options.solver = "simplex"
     options.simplex_strategy = 1  # dual simplex
     options.simplex_iteration_limit = options.ipm_iteration_limit = max_iter
@@ -241,11 +252,9 @@ def _run_highs(form: _MinForm, max_iter: int) -> _HighsRun:
     if name != "optimal":
         return _HighsRun(name, message)
     solution = highs.getSolution()
-    col_dual = np.array(solution.col_dual)
-    basis = np.array(list(map(int, highs.getBasis().col_status)))
-    return _HighsRun(name, message, np.array(solution.col_value), np.array(solution.row_dual),
-                     np.where(basis == int(hs.HighsBasisStatus.kLower), col_dual, 0.0),
-                     np.where(basis == int(hs.HighsBasisStatus.kUpper), col_dual, 0.0))
+    x, col_dual = np.array(solution.col_value), np.array(solution.col_dual)
+    y_up = np.where((x == form.upper) & (col_dual < 0.0), col_dual, 0.0)
+    return _HighsRun(name, message, x, np.array(solution.row_dual), col_dual - y_up, y_up)
 
 
 def _check_certificate(form: _MinForm, run: _HighsRun) -> None:
@@ -465,9 +474,10 @@ def export_model(model: LpModel, integrality: bool = False) -> str:
     objective = [(coef, name) for coef, name in zip(model.obj, names) if coef != 0.0]
     out.append(" obj: " + _linear(objective or [(0.0, names[0])]))
     out.append("Subject To")
-    for i, (cols, coefs, sense, rhs) in enumerate(model.rows):
-        terms = zip(coefs, (names[j] for j in cols))
-        out.append(f" c{i + 1}: {_linear(terms)} {sense} {_fmt(rhs)}")
+    rows = ((sense, *row) for cols, coefs, sense, rhs in model.blocks
+            for row in zip(cols.tolist(), coefs.tolist(), rhs.tolist()))
+    for i, (sense, cols, coefs, rhs) in enumerate(rows, 1):
+        out.append(f" c{i}: {_linear(zip(coefs, (names[j] for j in cols)))} {sense} {_fmt(rhs)}")
     bound_lines = [
         f" 0 <= {name} <= {_fmt(ub)}"
         for name, ub in zip(names, model.upper)

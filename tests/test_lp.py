@@ -23,9 +23,9 @@ LINPROG_STATUS = {0: "optimal", 1: "iteration_limit", 2: "infeasible", 3: "unbou
 
 
 def linprog_result(model: lpm.LpModel, max_iter: int = 1_000_000):
-    """The model through ``scipy.optimize.linprog(method="highs-ds")``, built
-    from ``model.rows`` as sparse matrices (``>=`` rows negated, repeated
-    columns summed)."""
+    """The model through ``scipy.optimize.linprog(method="highs-ds")`` without
+    presolve, built from ``model.rows`` as sparse matrices (``>=`` rows
+    negated, repeated columns summed)."""
     n = model.num_vars
     blocks = {"ub": ([], [], [], []), "eq": ([], [], [], [])}
     for cols, coefs, sense, rhs in model.rows:
@@ -45,7 +45,7 @@ def linprog_result(model: lpm.LpModel, max_iter: int = 1_000_000):
     c = np.asarray(model.obj, dtype=float)
     return linprog(-c if model.maximize else c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
                    bounds=np.column_stack([np.zeros(n), upper]), method="highs-ds",
-                   options={"maxiter": max_iter})
+                   options={"maxiter": max_iter, "presolve": False})
 
 
 def linprog_solve(model: lpm.LpModel, max_iter: int = 1_000_000) -> lpm.LpResult:
@@ -315,21 +315,32 @@ def reference_models():
             yield f"st {n},{m},{k}", lpm.build_st_lp(inst)
 
 
+def fixed_column(cost: float) -> lpm.LpModel:
+    """One column fixed at 0 by its upper bound: its dual is an upper-bound
+    marginal when the cost pushes it up, a lower-bound one when it pushes it
+    down, although its value equals the bound either way."""
+    mdl = lpm.LpModel()
+    mdl.add_vars("x", obj=cost, upper=0.0)
+    return mdl
+
+
+REFERENCE_PARAMS = ([pytest.param(model, id=label) for label, model in reference_models()]
+                    + [pytest.param(fixed_column(cost), id=f"fixed column {cost:+g}")
+                       for cost in (1.0, -1.0)])
+
+
 class TestLinprogReference:
     """``solve_lp`` fills HiGHS's model itself; linprog's "highs-ds" path,
     given the same rows, must return the same point, objective and status."""
 
-    @pytest.mark.parametrize("model", [pytest.param(model, id=label)
-                                       for label, model in reference_models()])
+    @pytest.mark.parametrize("model", REFERENCE_PARAMS)
     def test_same_optimum_to_the_bit(self, model):
         assert_same_result(lpm.solve_lp(model), linprog_solve(model))
 
-    @pytest.mark.parametrize("model", [pytest.param(model, id=label)
-                                       for label, model in reference_models()
-                                       if label.endswith("10,8,3")])
+    @pytest.mark.parametrize("model", REFERENCE_PARAMS)
     def test_same_duals_to_the_bit(self, model):
-        # the row duals and the column duals split by basis status, as
-        # linprog's marginals
+        # the row duals, and the column duals split by the primal point into
+        # linprog's marginals, which it splits by basis status
         run = lpm._run_highs(lpm._min_form(model, lpm._flat_rows(model)), 1_000_000)
         res = linprog_result(model)
         assert np.array_equal(run.y, np.concatenate([res.ineqlin.marginals, res.eqlin.marginals]))
@@ -398,6 +409,24 @@ class TestEdgeModels:
         with pytest.raises(ValueError, match="non-finite"):
             lpm.solve_lp(mdl)
 
+    def test_nan_upper_bound_refused(self):
+        mdl = lpm.LpModel()
+        mdl.add_vars("x", (2,), obj=1.0, upper=np.nan)
+        mdl.add_rows([0, 1], 1.0, "<=", 1.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            lpm.solve_lp(mdl)
+
+    def test_infinite_upper_bound_is_no_bound(self):
+        models = []
+        for upper in (np.inf, None):
+            mdl = lpm.LpModel()
+            mdl.add_vars("x", (2,), obj=[1.0, 2.0], upper=upper)
+            mdl.add_rows([0, 1], 1.0, "<=", 3.0)
+            models.append(mdl)
+        res = lpm.solve_lp(models[0])
+        assert res.status == "optimal" and res.x.tolist() == [0.0, 3.0]
+        assert_same_result(res, lpm.solve_lp(models[1]))
+
 
 class TestTransformation:
     def test_full_equals_compact_on_fixture(self, example):
@@ -436,7 +465,8 @@ class TestStModel:
         inst = cd.gen_random(4, 5, 2, edge_prob=0.8, seed=9, d_tel=0.5, m_cap=4)
         with_cuts = lpm.solve_lp(lpm.build_st_lp(inst))
         uncut = lpm.build_st_lp(inst)
-        uncut.rows = uncut.rows[: -inst.m * inst.k]  # drop the size cuts
+        *_, rhs = uncut.blocks.pop()  # the size cuts, added last
+        assert rhs.size == inst.m * inst.k
         without = lpm.solve_lp(uncut)
         assert with_cuts.objective == pytest.approx(without.objective, abs=1e-6)
 
@@ -633,6 +663,17 @@ class TestModelBlocks:
         assert v0.tolist() == [1.0, 2.0, 3.0] and v2.tolist() == [-1.0, -1.0]
         assert (s0, s2) == ("<=", ">=") and (r0, r1, r2) == (4.0, 5.0, 0.0)
         assert type(r2) is float and c0.dtype == np.int64 and v0.dtype == float
+        assert [(cols.shape, sense, rhs.tolist()) for cols, _, sense, rhs in mdl.blocks] == [
+            ((2, 3), "<=", [4.0, 5.0]), ((1, 2), ">=", [0.0])]
+
+    def test_rows_view_follows_added_rows(self):
+        mdl = lpm.LpModel()
+        a = mdl.add_vars("a", (2,))
+        mdl.add_rows(a, 1.0, "<=", 1.0)
+        assert len(mdl.rows) == 1 and mdl.rows is mdl.rows
+        mdl.add_rows(a[::-1], 2.0, "=", 3.0)
+        assert len(mdl.rows) == mdl.num_rows == 2
+        assert mdl.rows[1][0].tolist() == [1, 0] and mdl.rows[1][2:] == ("=", 3.0)
 
     def test_bad_sense_rejected(self):
         mdl = lpm.LpModel()
@@ -689,15 +730,43 @@ PINNED_EXPORTS = {
         "6cc85d3591f660426d25177bb2b30e7efff324cc67d57e2b6ef5dd2b07c4cd84"),
 }
 
+# the same digests for every model of ``reference_models()`` at two rungs
+PINNED_LADDER_EXPORTS = {
+    "compact 10,8,3": ("e5e459dce6588410e1de24d6fd25ec4eaf70a51dc51f81f6ec70772711053b33",
+        "7f0fae2cf5ea471ff3b79ca9a57c9c9c063d23229caed4e556faaf234795f54c"),
+    "capped 10,8,3": ("f81d9fcdd4dc0fc2dc332c15220b5206cbfd41047a43ccea09b944c2efc0c0fc",
+        "d599d0e67617f7ba1c99ab3e62ade240a9d44938091c662c03052d8eb47bb24f"),
+    "full 10,8,3": ("8d6181bf9053d77fef39dfbe9ad9d143c12a8380cef01b2bba1a73f4f669b5b2",
+        "759838875e1968e4a026927050de3b4d4135e2a651ded0c704b43deaba3fdb86"),
+    "st 10,8,3": ("48b8a04f73b344f523e84f485e2508016b2d68e3366d07011468cca8424b38a7",
+        "d4eb977490ee78e9369ec80808dfd54cce9b194962cccb9b28d8453b4ef5d5d7"),
+    "compact 15,10,3": ("19c0d1f6e2deacbc47e61c513513bafbbc5924404c5abf0b0d0fd64f21cf7237",
+        "676f484254eaaafd161d263371f7b49930eca0c72137668739929b87230726ac"),
+    "capped 15,10,3": ("f0f4de94d21b0249405bb83378ceb1a3b36bab644a26ad9185aa345c8823f901",
+        "2e8f181f84fc0737669f390138bbcce90d34c9244daf51a149054943744619b8"),
+    "full 15,10,3": ("445bfec6f7948c7fafd082cf5f102a639935ac4f7af25e3b78a2e4c7b533773e",
+        "f68ddd9be53dc11421f2c77194e8cf7a2f9fff1f181f73373e7ec319575c4ad5"),
+    "st 15,10,3": ("5b3f1650ed415f232e87a44f86ce3dc328fbe40d0d9db20cbdb886d84668daa1",
+        "bcdabf96a1fe26b51d7c0fab3a8f99c8bf9ed2275dc80f3a0d6da77c7c67d2fc"),
+}
+
 PINNED_BUILDERS = {"full": lpm.build_full_lp, "simp": lpm.build_simplified_lp,
                    "st": lpm.build_st_lp}
+
+
+def export_digests(mdl: lpm.LpModel) -> tuple[str, str]:
+    return tuple(hashlib.sha256(lpm.export_model(mdl, integrality=flag).encode()).hexdigest()
+                 for flag in (False, True))
 
 
 class TestPinnedModels:
     @pytest.mark.parametrize("key", sorted(PINNED_EXPORTS), ids="/".join)
     def test_export_digest(self, key):
         name, kind = key
-        mdl = PINNED_BUILDERS[kind](PINNED_INSTANCES[name]())
-        digests = tuple(hashlib.sha256(lpm.export_model(mdl, integrality=flag).encode()).hexdigest()
-                        for flag in (False, True))
-        assert digests == PINNED_EXPORTS[key]
+        assert export_digests(PINNED_BUILDERS[kind](PINNED_INSTANCES[name]())) == PINNED_EXPORTS[key]
+
+    @pytest.mark.parametrize("label, model", [
+        pytest.param(label, model, id=label) for label, model in reference_models()
+        if label in PINNED_LADDER_EXPORTS])
+    def test_ladder_export_digest(self, label, model):
+        assert export_digests(model) == PINNED_LADDER_EXPORTS[label]
